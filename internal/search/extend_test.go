@@ -326,10 +326,10 @@ func TestStepCachePutDupAndCap(t *testing.T) {
 	c := &stepCache{}
 	l := mkUpdate(1, "inc")
 
-	ids := []uint32{7}
-	c.put(5, l, nil, ids)
-	ids[0] = 99 // callers recycle their scratch; the cache must hold a copy
-	c.put(5, l, nil, []uint32{42})
+	succ := []tmSucc{{id: 7}}
+	c.put(5, l, succ)
+	succ[0].id = 99 // callers recycle their scratch; the cache must hold a copy
+	c.put(5, l, []tmSucc{{id: 42}})
 	e, ok := c.get(5, l)
 	if !ok || len(e.ids) != 1 || e.ids[0] != 7 {
 		t.Fatalf("first writer must win and must be copied: %+v ok=%v", e, ok)
@@ -342,7 +342,7 @@ func TestStepCachePutDupAndCap(t *testing.T) {
 	}
 	c.mu.Unlock()
 	fresh := mkUpdate(2, "inc")
-	c.put(6, fresh, nil, []uint32{1})
+	c.put(6, fresh, []tmSucc{{id: 1}})
 	if _, ok := c.get(6, fresh); ok {
 		t.Fatal("a full cache must refuse new entries")
 	}

@@ -213,7 +213,7 @@ func (m *memoTable) checkDualKey(k, legacy key128) {
 // placed set determines the remaining labels and their frontier structure;
 // the state sets determine every further admissibility check), so pruning on
 // a repeated key is sound up to hash collision. The bitsets are maintained in
-// canonical trimmed form by insertKnown, so equal sets fold to equal word
+// canonical trimmed form by insertCompact, so equal sets fold to equal word
 // sequences — the key is whole-word mixing over data that already exists, a
 // word per 64 states where the pre-bitset key mixed one word per state.
 //

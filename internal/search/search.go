@@ -112,11 +112,13 @@ func runPrepared(sess *Session, intern *interner, pre *prepared, h *core.History
 	// check and touch it after release (poolable below).
 	sh := sess.getShared(nodeBudget(opts))
 	sh.sess = sess
-	// The transition cache only serves re-checks (its keys are label
-	// pointers, so a first-contact history could only fill it with copies
-	// nothing will ever hit); attach it only when the session has seen this
-	// history before. One-shot histories then skip the cache's per-transition
-	// lock probes entirely.
+	// Within the check, repeated transitions are served by each searcher's
+	// check-local transition memo, first contact or not. The session
+	// transition cache behind it only pays across checks of the same history
+	// (its keys are label pointers, which no other history shares), so it is
+	// attached only when the session has seen this history before: a
+	// first-contact history would fill it with copies no later check can hit,
+	// and one-shot histories skip its per-transition lock probes entirely.
 	if sess.recheck(h) {
 		sh.steps = sess.stepCacheFor(spec)
 	}

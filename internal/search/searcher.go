@@ -83,20 +83,28 @@ type searcher struct {
 	// compact assigns dense check-local IDs to session-interner IDs; shared by
 	// every worker of the check (points into sh).
 	compact *compactor
-	// steps is the session's per-spec transition cache, nil when the check
-	// runs sessionless or the spec is not cacheable. On a warm session the
-	// stepAll fast path replays cached (state, label) transitions without
-	// re-entering the spec (no StateKey rendering, no interner probe).
+	// steps is the session's per-spec transition cache, nil unless the check
+	// is a re-check through a session and the spec is cacheable. On a warm
+	// re-check it serves the first step of each (state, label) transition
+	// without re-entering the spec (no StateKey rendering, no interner probe).
 	steps *stepCache
+	// tm is the check-local transition memo, consulted before steps: every
+	// repeat of a transition within the check replays from it. tmOn is false
+	// only under the test-only ablation toggle.
+	tm   transMemo
+	tmOn bool
 
 	// stepper is spec's allocation-free fast path, nil for foreign specs
 	// (stepAll then falls back to Step).
 	stepper core.StepAppender
 	// stepScratch is the reusable buffer StepAppend fills per transition.
 	stepScratch []core.AbsState
-	// fillIDs is the scratch slice of successor IDs fillStep interns before a
-	// transition is stored in the step cache.
-	fillIDs []uint32
+	// fill is the scratch of one transition's interned successors, built by
+	// fillStep and replayStep before the transition is recorded; fillBlock is
+	// its embedded first backing array, so a fresh searcher stepping a
+	// deterministic spec never grows it.
+	fill      []tmSucc
+	fillBlock [4]tmSucc
 
 	// indegree[i] counts the not-yet-placed visibility predecessors of
 	// labels[i]; a label is in the frontier when its count is zero and it is
@@ -206,6 +214,11 @@ func newSearcher(recycled *searcher, pre *prepared, spec core.Spec, strong bool,
 	s.worker = worker
 	s.compact = &sh.compact
 	s.steps = sh.steps
+	s.tmOn = !transitionMemoOff
+	s.tm.reset()
+	if s.fill == nil {
+		s.fill = s.fillBlock[:0]
+	}
 	s.indegree = resizeInts(s.indegree, n)
 	s.placed = resizeBitset(s.placed, n)
 	s.frontier = resizeBitset(s.frontier, n)
@@ -285,9 +298,10 @@ func appendBit(words []uint64, id uint32) []uint64 {
 }
 
 // release unwinds the searcher and drops every reference into the finished
-// check (history, specification, shared state, live state sets) so a pooled
-// searcher pins nothing; the backing arrays, undo frames and buffer pool stay
-// for the next check. The witness arena chunk is kept: its carved prefix is
+// check (history, specification, shared state, live state sets, the states
+// recorded in the transition memo) so a pooled searcher pins nothing; the
+// backing arrays, memo storage, undo frames and buffer pool stay for the next
+// check. The witness arena chunk is kept: its carved prefix is
 // caller-owned and its free tail is clean.
 func (s *searcher) release() {
 	s.reset()
@@ -302,6 +316,9 @@ func (s *searcher) release() {
 	s.queue = nil
 	s.compact = nil
 	s.steps = nil
+	s.tm.release()
+	clear(s.fill[:cap(s.fill)])
+	s.fill = s.fill[:0]
 	clear(s.stepScratch[:cap(s.stepScratch)])
 	s.stepScratch = s.stepScratch[:0]
 	clear(s.initStates[:cap(s.initStates)])
@@ -580,41 +597,44 @@ func (s *searcher) orderCands(cands []int) {
 // canonical key the interner has not seen. The probe is read-only (interner
 // peek, no insertion), so ordering neither grows the interner nor consumes
 // its budget; queries never advance the main set and are never novel. A
-// source state whose transition is in the session step cache is skipped: its
-// successors were interned when the entry was filled, so none can be novel —
-// the same answer the StepAppend probe would compute. Once keying is off the
-// signal degrades to false for everyone — ordering then rests on the static
-// scores alone.
+// source state whose transition is already recorded (stepKnown) is skipped:
+// its successors were interned when the entry was filled, so none can be
+// novel — the same answer the StepAppend probe would compute. Once keying is
+// off the signal degrades to false for everyone — ordering then rests on the
+// static scores alone.
 func (s *searcher) novel(i int) bool {
 	l := s.pre.labels[i]
 	if !s.keyable || l.IsQuery() {
 		return false
 	}
-	cached := s.steps != nil && len(s.mainIDs) == len(s.main)
-	if s.stepper != nil {
-		for si, phi := range s.main {
-			if cached {
-				if _, ok := s.steps.get(s.mainIDs[si], l); ok {
-					continue
-				}
-			}
-			sc := s.stepper.StepAppend(s.stepScratch[:0], phi, l)
-			s.stepScratch = sc
-			if s.anyNovel(sc) {
-				return true
-			}
-		}
-		return false
-	}
+	keyed := len(s.mainIDs) == len(s.main)
 	for si, phi := range s.main {
-		if cached {
-			if _, ok := s.steps.get(s.mainIDs[si], l); ok {
-				continue
-			}
+		if keyed && s.stepKnown(s.mainIDs[si], i) {
+			continue
 		}
-		if s.anyNovel(s.spec.Step(phi, l)) {
+		var next []core.AbsState
+		if s.stepper != nil {
+			next = s.stepper.StepAppend(s.stepScratch[:0], phi, l)
+			s.stepScratch = next
+		} else {
+			next = s.spec.Step(phi, l)
+		}
+		if s.anyNovel(next) {
 			return true
 		}
+	}
+	return false
+}
+
+// stepKnown reports whether the transition of source state id under label i
+// is recorded in the transition memo or the session step cache.
+func (s *searcher) stepKnown(id uint32, i int) bool {
+	if s.tmOn && s.tm.has(id, uint32(i)) {
+		return true
+	}
+	if s.steps != nil {
+		_, ok := s.steps.get(id, s.pre.labels[i])
+		return ok
 	}
 	return false
 }
@@ -692,7 +712,7 @@ func (s *searcher) donate(i int) {
 func (s *searcher) enter(i int) bool {
 	l := s.pre.labels[i]
 	if s.strong {
-		next := s.stepAll(s.main, s.mainIDs, l)
+		next := s.stepAll(s.main, s.mainIDs, i)
 		if len(next.states) == 0 {
 			s.putBuf(next)
 			s.pruned++
@@ -711,7 +731,7 @@ func (s *searcher) enter(i int) bool {
 			s.putBuf(next)
 		}
 	} else if l.IsUpdate() {
-		next := s.stepAll(s.main, s.mainIDs, l)
+		next := s.stepAll(s.main, s.mainIDs, i)
 		if len(next.states) == 0 {
 			s.putBuf(next)
 			s.pruned++
@@ -727,7 +747,7 @@ func (s *searcher) enter(i int) bool {
 			if s.placed.get(q) {
 				continue
 			}
-			nq := s.stepAll(s.qstates[q], s.qids[q], l)
+			nq := s.stepAll(s.qstates[q], s.qids[q], i)
 			if len(nq.states) == 0 {
 				s.putBuf(nq)
 				for _, b := range s.stepped {
@@ -759,7 +779,7 @@ func (s *searcher) enter(i int) bool {
 		// Queries: the justification (visible updates in placed order,
 		// then the query) must be admitted. All visible updates are
 		// necessarily placed already, so qstates[i] is final.
-		res := s.stepAll(s.qstates[i], s.qids[i], l)
+		res := s.stepAll(s.qstates[i], s.qids[i], i)
 		admitted := len(res.states) > 0
 		s.putBuf(res)
 		if !admitted {
@@ -862,48 +882,74 @@ func (s *searcher) putBuf(b setBuf) {
 	s.pool = append(s.pool, setBuf{states: b.states[:0], ids: b.ids[:0], words: b.words[:0]})
 }
 
-// stepAll applies label l to every state of the set and returns the deduped
+// stepAll applies label i to every state of the set and returns the deduped
 // successor set in a pooled buffer; ids is the set's parallel interner-ID
-// view (nil or shorter once keying is off, which routes around the cache).
-// With a session step cache each (source state, label) transition is replayed
-// from the cache when present — no spec call, no StateKey rendering, no
-// interner probe — and computed-and-cached otherwise. Without a cache, specs
-// implementing core.StepAppender are stepped through the allocation-free fast
-// path into a reused scratch buffer; foreign specs fall back to Step's fresh
-// slice per transition. While the specification is keyable, deduplication is
-// a single bit test on the compact-ID bitset; otherwise it falls back to
-// pairwise EqualAbs.
-func (s *searcher) stepAll(states []core.AbsState, ids []uint32, l *core.Label) setBuf {
+// view (nil or shorter once keying is off, which routes around the caches).
+// While keyed, each (source state, label) transition is served by the first
+// level that has it: the check-local transition memo, then — on re-checks —
+// the session step cache; a transition neither holds is stepped live and
+// recorded in both (fillStep). Every level replays the raw successor sequence
+// of the live step, so the resulting set is the same either way. Unkeyed,
+// specs implementing core.StepAppender are stepped through the
+// allocation-free fast path into a reused scratch buffer; foreign specs fall
+// back to Step's fresh slice per transition. While the specification is
+// keyable, deduplication is a single bit test on the compact-ID bitset;
+// otherwise it falls back to pairwise EqualAbs.
+func (s *searcher) stepAll(states []core.AbsState, ids []uint32, i int) setBuf {
 	buf := s.getBuf()
-	if s.steps != nil && s.keyable && len(ids) == len(states) {
-		for si := 0; si < len(states); si++ {
-			e, hit := s.steps.get(ids[si], l)
-			if !hit {
-				if !s.fillStep(states[si], ids[si], l, &buf) {
-					// Keying flipped off mid-transition: the buffer already
-					// fell back to EqualAbs dedup; route the remaining source
-					// states through the uncached path.
-					s.stepUncached(&buf, states[si+1:], l)
-					return buf
+	l := s.pre.labels[i]
+	if !s.keyable || len(ids) != len(states) || (!s.tmOn && s.steps == nil) {
+		s.stepUncached(&buf, states, l)
+		return buf
+	}
+	for si := 0; si < len(states); si++ {
+		if s.tmOn {
+			if succ, ok := s.tm.get(ids[si], uint32(i)); ok {
+				for k := range succ {
+					s.insertCompact(&buf, succ[k].state, succ[k].id, succ[k].cid)
 				}
 				continue
 			}
-			for k := range e.states {
-				s.insertKnown(&buf, e.states[k], e.ids[k])
+		}
+		if s.steps != nil {
+			if e, ok := s.steps.get(ids[si], l); ok {
+				s.replayStep(&buf, ids[si], i, e)
+				continue
 			}
 		}
-		return buf
+		if !s.fillStep(states[si], ids[si], i, &buf) {
+			// Keying flipped off mid-transition: the buffer already fell back
+			// to EqualAbs dedup; route the remaining source states through the
+			// uncached path.
+			s.stepUncached(&buf, states[si+1:], l)
+			return buf
+		}
 	}
-	s.stepUncached(&buf, states, l)
 	return buf
 }
 
+// replayStep inserts a session-cached transition of source state id under
+// label i into buf and records it in the transition memo.
+func (s *searcher) replayStep(buf *setBuf, id uint32, i int, e stepEntry) {
+	s.fill = s.fill[:0]
+	for k, phi := range e.states {
+		f := tmSucc{state: phi, id: e.ids[k], cid: s.compact.compact(e.ids[k])}
+		s.fill = append(s.fill, f)
+		s.insertCompact(buf, f.state, f.id, f.cid)
+	}
+	if s.tmOn {
+		s.tm.put(id, uint32(i), s.fill)
+	}
+}
+
 // fillStep computes the successors of one (state, label) transition, inserts
-// them into buf, and — when every successor interned — stores the raw
-// transition (successors in emission order, duplicates included, so a cache
-// replay inserts the exact sequence the live path would) in the session step
-// cache. It returns false when keying flipped off mid-transition.
-func (s *searcher) fillStep(phi core.AbsState, id uint32, l *core.Label, buf *setBuf) bool {
+// them into buf, and — when every successor interned — records the raw
+// transition (successors in emission order, duplicates included, so a replay
+// inserts the exact sequence the live path would) in the transition memo and
+// the session step cache. It returns false when keying flipped off
+// mid-transition.
+func (s *searcher) fillStep(phi core.AbsState, id uint32, i int, buf *setBuf) bool {
+	l := s.pre.labels[i]
 	var raw []core.AbsState
 	if s.stepper != nil {
 		raw = s.stepper.StepAppend(s.stepScratch[:0], phi, l)
@@ -911,7 +957,7 @@ func (s *searcher) fillStep(phi core.AbsState, id uint32, l *core.Label, buf *se
 	} else {
 		raw = s.spec.Step(phi, l)
 	}
-	s.fillIDs = s.fillIDs[:0]
+	s.fill = s.fill[:0]
 	for _, nxt := range raw {
 		nid, ok := s.internState(nxt)
 		if !ok {
@@ -925,12 +971,19 @@ func (s *searcher) fillStep(phi core.AbsState, id uint32, l *core.Label, buf *se
 			}
 			return false
 		}
-		s.fillIDs = append(s.fillIDs, nid)
+		s.fill = append(s.fill, tmSucc{state: nxt, id: nid})
 	}
-	for k := range raw {
-		s.insertKnown(buf, raw[k], s.fillIDs[k])
+	for k := range s.fill {
+		f := &s.fill[k]
+		f.cid = s.compact.compact(f.id)
+		s.insertCompact(buf, f.state, f.id, f.cid)
 	}
-	s.steps.put(id, l, raw, s.fillIDs)
+	if s.tmOn {
+		s.tm.put(id, uint32(i), s.fill)
+	}
+	if s.steps != nil {
+		s.steps.put(id, l, s.fill)
+	}
 	return true
 }
 
@@ -958,7 +1011,7 @@ func (s *searcher) stepUncached(buf *setBuf, states []core.AbsState, l *core.Lab
 func (s *searcher) insert(buf *setBuf, phi core.AbsState) {
 	if s.keyable {
 		if id, ok := s.internState(phi); ok {
-			s.insertKnown(buf, phi, id)
+			s.insertCompact(buf, phi, id, s.compact.compact(id))
 			return
 		}
 		// Keying just flipped off: the states inserted so far were deduped
@@ -975,12 +1028,11 @@ func (s *searcher) insert(buf *setBuf, phi core.AbsState) {
 	buf.states = append(buf.states, phi)
 }
 
-// insertKnown adds one already-interned successor: the session ID is mapped
-// to its check-local compact ID and membership is a single word test on the
-// buffer's bitset. The bitset grows to exactly the word holding the new bit,
-// preserving the canonical trimmed form (last word nonzero).
-func (s *searcher) insertKnown(buf *setBuf, phi core.AbsState, id uint32) {
-	cid := s.compact.compact(id)
+// insertCompact adds one successor whose session and compact IDs are known:
+// membership is a single word test on the buffer's bitset. The bitset grows
+// to exactly the word holding the new bit, preserving the canonical trimmed
+// form (last word nonzero).
+func (s *searcher) insertCompact(buf *setBuf, phi core.AbsState, id, cid uint32) {
 	w, m := int(cid>>6), uint64(1)<<(cid&63)
 	if w < len(buf.words) {
 		if buf.words[w]&m != 0 {

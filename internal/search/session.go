@@ -77,13 +77,13 @@ func (c *stepCache) get(id uint32, l *core.Label) (stepEntry, bool) {
 	return e, ok
 }
 
-// put stores one transition result, copying both slices (callers pass
-// scratch). First writer wins; at the cap the cache stops growing. The copies
-// are built before the write lock is taken — and skipped entirely when a
-// read-locked probe already sees the cache full or the entry present — so
-// parallel workers filling the cache contend only on the map insert, not on
-// the allocation and copy of every entry.
-func (c *stepCache) put(id uint32, l *core.Label, states []core.AbsState, ids []uint32) {
+// put stores one transition result, copying the successors' states and IDs
+// (callers pass scratch). First writer wins; at the cap the cache stops
+// growing. The copies are built before the write lock is taken — and skipped
+// entirely when a read-locked probe already sees the cache full or the entry
+// present — so parallel workers filling the cache contend only on the map
+// insert, not on the allocation and copy of every entry.
+func (c *stepCache) put(id uint32, l *core.Label, succ []tmSucc) {
 	k := stepKey{state: id, label: l}
 	c.mu.RLock()
 	full := len(c.entries) >= stepCacheCap
@@ -93,8 +93,11 @@ func (c *stepCache) put(id uint32, l *core.Label, states []core.AbsState, ids []
 		return
 	}
 	e := stepEntry{
-		states: append([]core.AbsState(nil), states...),
-		ids:    append([]uint32(nil), ids...),
+		states: make([]core.AbsState, len(succ)),
+		ids:    make([]uint32, len(succ)),
+	}
+	for k, f := range succ {
+		e.states[k], e.ids[k] = f.state, f.id
 	}
 	c.mu.Lock()
 	if c.entries == nil {
@@ -203,11 +206,12 @@ type Session struct {
 	// checked through the session (stepCacheFor).
 	steps []specStep
 	// seen tracks the (rewritten) history pointers checked through the
-	// session, so Run attaches the transition cache only to re-checks: a
-	// first-contact history would fill the cache with entries keyed by its
-	// label pointers — copies that can never be hit again unless that very
-	// history object returns. Capped at seenHistoryCap pointers; like the
-	// rewrite cache, the pins are dropped on budget eviction.
+	// session, so Run attaches the transition cache only to re-checks: the
+	// cache keys transitions by label pointer, so a first-contact history's
+	// entries can only be hit by a later check of that very history object
+	// (repeats within one check are the searchers' transition memos' job).
+	// Capped at seenHistoryCap pointers; like the rewrite cache, the pins
+	// are dropped on budget eviction.
 	seen map[*core.History]struct{}
 	// exts tracks per-history incremental-extension state (Session.Extend):
 	// the length, rewriting and prepared plan of each history's last verdict,
@@ -450,10 +454,13 @@ func (s *Session) putPlan(p *prepared) {
 const seenHistoryCap = 1 << 16
 
 // recheck reports whether h was already checked through this session, and
-// records it for the next check if not. Run gates the transition cache on it:
-// only a history seen before is worth filling the cache for, because the
-// cache keys transitions by label pointer and distinct histories never share
-// labels. Nil-safe (sessionless checks are never re-checks).
+// records it for the next check if not. Run gates the session transition
+// cache on it: the cache keys transitions by label pointer and distinct
+// histories never share labels, so its entries pay only when a later check of
+// the same history replays them. Transitions repeated within one check — the
+// common case, first contact or not — are served by the searcher's
+// check-local transition memo, which needs no such gate. Nil-safe
+// (sessionless checks are never re-checks).
 func (s *Session) recheck(h *core.History) bool {
 	if s == nil || h == nil {
 		return false

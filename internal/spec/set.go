@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -48,9 +49,44 @@ func (s SetState) Values() []string {
 // String renders the set.
 func (s SetState) String() string { return core.FormatValue(s.Values()) }
 
-// StateKey returns the canonical key (sorted quoted elements), enabling
-// search memoization.
-func (s SetState) StateKey() (string, bool) { return quoteJoin(s.Values()), true }
+// StateKey returns the canonical key (sorted quoted elements, the quoteJoin
+// rendering), enabling search memoization. Small sets sort in a stack buffer
+// and every element is quoted straight into one byte buffer, so the key costs
+// a single string allocation.
+func (s SetState) StateKey() (string, bool) {
+	var ebuf [16]string
+	elems := ebuf[:0]
+	for k := range s {
+		elems = append(elems, k)
+	}
+	slices.Sort(elems)
+	var bbuf [128]byte
+	b := bbuf[:0]
+	for _, e := range elems {
+		b = strconv.AppendQuote(b, e)
+		b = append(b, ',')
+	}
+	return string(b), true
+}
+
+// listsSorted reports whether ret holds exactly the set's elements in
+// strictly increasing order — what ValueEqual(ret, s.Values()) decides,
+// without building the sorted slice. A nil ret never matches: Values is never
+// nil, and ValueEqual tells nil and empty slices apart.
+func (s SetState) listsSorted(ret []string) bool {
+	if ret == nil || len(ret) != len(s) {
+		return false
+	}
+	for k, v := range ret {
+		if k > 0 && ret[k-1] >= v {
+			return false
+		}
+		if _, in := s[v]; !in {
+			return false
+		}
+	}
+	return true
+}
 
 // quoteJoin renders a sorted string slice unambiguously (elements are quoted
 // so separators inside values cannot collide).
@@ -110,7 +146,7 @@ func (Set) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) []c
 		return append(dst, n)
 	case "read":
 		ret, ok := l.Ret.([]string)
-		if ok && core.ValueEqual(ret, s.Values()) {
+		if ok && s.listsSorted(ret) {
 			return append(dst, s)
 		}
 		return dst
