@@ -103,10 +103,11 @@ lint:
 	$(MAKE) lint-docs
 
 # The documentation gates (dependency-free, stdlib-only scripts): every
-# exported symbol of the engine packages carries a doc comment, and every
-# intra-repo markdown link resolves. CI runs both (the docs job runs mdlinks).
+# exported symbol of the engine packages and of the generation packages
+# (runtime, scenario) carries a doc comment, and every intra-repo markdown
+# link resolves. CI runs both (the docs job runs mdlinks).
 lint-docs:
-	$(GO) run ./scripts/lintgodoc ./internal/search ./internal/core
+	$(GO) run ./scripts/lintgodoc ./internal/search ./internal/core ./internal/runtime ./internal/scenario
 	$(GO) run ./scripts/mdlinks .
 
 fmt:

@@ -2,9 +2,9 @@ package runtime
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"ralin/internal/clock"
 	"ralin/internal/core"
@@ -42,10 +42,15 @@ func (c *Config) fill() {
 	}
 }
 
-// opReplica is the local configuration (L, σ) of one replica.
+// opReplica is the local configuration (L, σ) of one replica, op- or
+// state-based. L is a bitset over history ranks. In an op-based system it is
+// causally closed (Figure 7's causal delivery only ever adds an effector
+// whose non-query predecessors are already in L), which is what lets the
+// runtime decide deliverability from a per-update dependency row instead of
+// the history's visibility relation.
 type opReplica struct {
 	state State
-	seen  map[uint64]bool
+	seen  bitset
 }
 
 // System simulates an operation-based CRDT object following the semantics of
@@ -53,52 +58,77 @@ type opReplica struct {
 // replica, and effectors are delivered to the other replicas under causal
 // delivery.
 type System struct {
-	typ       OpType
-	cfg       Config
-	methods   map[string]MethodInfo
-	replicas  map[clock.ReplicaID]*opReplica
-	hist      *core.History
-	effectors map[uint64]Effector
-	genSeq    uint64
-	events    []Event
-	// visScratch buffers the seen-set of the invoking replica so the
-	// visibility edges of each new label are inserted in descending
-	// identifier order: the maximal seen operations go in first and the
-	// history's reachability index reduces every edge they imply to a single
-	// bit probe (AddVis skips transitively implied edges). Sorting also makes
-	// the recorded direct adjacency deterministic where map iteration order
-	// is not.
-	visScratch []uint64
+	typ     OpType
+	cfg     Config
+	methods map[string]MethodInfo
+	// replicas is indexed by replica identifier; ids lists the identifiers.
+	replicas []*opReplica
+	ids      []clock.ReplicaID
+	hist     *core.History
+	// effectors holds the effector of the label at each history rank (nil for
+	// queries).
+	effectors []Effector
+	// deps holds, per history rank, the update's causal-dependency row: the
+	// origin's seen-set ∩ updates at generation time, which — seen-sets being
+	// causally closed — is exactly the non-query part of vis⁻¹. Queries have
+	// no row.
+	deps []bitset
+	// updates marks the ranks of non-query labels.
+	updates bitset
+	rows    arena
+	genSeq  uint64
+	events  []Event
+	// scratch and choices back DeliverAllTo and DeliverRandom.
+	scratch []*core.Label
+	choices []delivery
+}
+
+// delivery is one candidate (replica, effector) pair.
+type delivery struct {
+	r  clock.ReplicaID
+	id uint64
 }
 
 // NewSystem creates a simulated deployment of the given operation-based CRDT.
 func NewSystem(typ OpType, cfg Config) *System {
 	cfg.fill()
 	s := &System{
-		typ:       typ,
-		cfg:       cfg,
-		methods:   MethodTable(typ.Methods()),
-		replicas:  make(map[clock.ReplicaID]*opReplica, cfg.Replicas),
-		hist:      core.NewHistory(),
-		effectors: make(map[uint64]Effector),
+		typ:      typ,
+		cfg:      cfg,
+		methods:  MethodTable(typ.Methods()),
+		replicas: make([]*opReplica, cfg.Replicas),
+		ids:      replicaIDs(cfg.Replicas),
+		hist:     core.NewHistory(),
 	}
-	for i := 0; i < cfg.Replicas; i++ {
-		s.replicas[clock.ReplicaID(i)] = &opReplica{state: typ.Init(), seen: make(map[uint64]bool)}
+	for i := range s.replicas {
+		s.replicas[i] = &opReplica{state: typ.Init()}
 	}
 	return s
+}
+
+// replicaIDs returns the identifiers 0..n-1.
+func replicaIDs(n int) []clock.ReplicaID {
+	ids := make([]clock.ReplicaID, n)
+	for i := range ids {
+		ids[i] = clock.ReplicaID(i)
+	}
+	return ids
 }
 
 // Type returns the simulated CRDT type.
 func (s *System) Type() OpType { return s.typ }
 
-// Replicas returns the replica identifiers in increasing order.
-func (s *System) Replicas() []clock.ReplicaID {
-	out := make([]clock.ReplicaID, 0, len(s.replicas))
-	for r := range s.replicas {
-		out = append(out, r)
+// Replicas returns the replica identifiers in increasing order. The slice is
+// shared with the system and must not be modified.
+func (s *System) Replicas() []clock.ReplicaID { return s.ids[:len(s.ids):len(s.ids)] }
+
+// replica returns the local configuration of r, or nil for an unknown
+// replica.
+func (s *System) replica(r clock.ReplicaID) *opReplica {
+	if r < 0 || int(r) >= len(s.replicas) {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.replicas[r]
 }
 
 // Invoke executes method with the given arguments at replica r: the OPERATION
@@ -106,8 +136,8 @@ func (s *System) Replicas() []clock.ReplicaID {
 // history) or an error when the replica is unknown, the method is unknown, or
 // the generator's precondition fails.
 func (s *System) Invoke(r clock.ReplicaID, method string, args ...core.Value) (*core.Label, error) {
-	rep, ok := s.replicas[r]
-	if !ok {
+	rep := s.replica(r)
+	if rep == nil {
 		return nil, fmt.Errorf("%s: unknown replica %s", s.typ.Name(), r)
 	}
 	info, ok := s.methods[method]
@@ -140,18 +170,22 @@ func (s *System) Invoke(r clock.ReplicaID, method string, args ...core.Value) (*
 	if err := s.hist.Add(l); err != nil {
 		return nil, err
 	}
-	s.visScratch = AppendSeenDescending(s.visScratch[:0], rep.seen)
-	for _, id := range s.visScratch {
-		if err := s.hist.AddVis(id, l.ID); err != nil {
-			return nil, err
-		}
+	if err := addSeenVis(s.hist, rep.seen, l.ID); err != nil {
+		return nil, err
 	}
+	rank := s.hist.Len() - 1
+	var deps bitset
+	if !l.IsQuery() {
+		deps = s.rows.intersect(rep.seen, s.updates)
+		s.updates.set(rank)
+	}
+	s.deps = append(s.deps, deps)
+	s.effectors = append(s.effectors, eff)
 	pre := rep.state
 	if eff != nil {
-		s.effectors[l.ID] = eff
 		rep.state = eff.Apply(rep.state)
 	}
-	rep.seen[l.ID] = true
+	rep.seen.set(rank)
 	if s.cfg.RecordEvents {
 		s.events = append(s.events, Event{
 			Kind:     EventGenerator,
@@ -165,13 +199,32 @@ func (s *System) Invoke(r clock.ReplicaID, method string, args ...core.Value) (*
 	return l, nil
 }
 
+// addSeenVis inserts the visibility edges from every operation of seen to
+// the label with identifier to, in descending rank order. Identifiers
+// increase with rank, so this is descending identifier order: the latest —
+// most likely vis-maximal — seen operations go in first, and History.AddVis
+// disposes of every edge they imply with a single reachability bit probe.
+// The order also fixes the recorded direct adjacency.
+func addSeenVis(h *core.History, seen bitset, to uint64) error {
+	for w := len(seen) - 1; w >= 0; w-- {
+		for x := seen[w]; x != 0; {
+			b := 63 - bits.LeadingZeros64(x)
+			x &^= 1 << uint(b)
+			if err := h.AddVis(h.LabelAt(w<<6|b).ID, to); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // AppendSeenDescending appends the identifiers of seen to dst in descending
 // order. Identifiers increase monotonically with generation, so descending
 // order visits the latest — most likely vis-maximal — seen operations first:
 // once their edges are in, History.AddVis disposes of every edge they imply
 // with a single reachability bit probe. Allocation-free given capacity in
-// dst; shared with the composed-system runtime, which inserts seen-set
-// edges the same way.
+// dst; the composed-system runtime inserts its global seen-set edges this
+// way.
 func AppendSeenDescending(dst []uint64, seen map[uint64]bool) []uint64 {
 	for id := range seen {
 		dst = append(dst, id)
@@ -191,69 +244,93 @@ func (s *System) MustInvoke(r clock.ReplicaID, method string, args ...core.Value
 	return l
 }
 
+// pendingWord returns word w of the ranks whose effectors are not yet applied
+// at rep.
+func (s *System) pendingWord(rep *opReplica, w int) uint64 {
+	x := s.updates[w]
+	if w < len(rep.seen) {
+		x &^= rep.seen[w]
+	}
+	return x
+}
+
 // Pending returns the labels whose effectors have not yet been applied at
 // replica r, in generation order. Queries have identity effectors and are
 // never pending.
-func (s *System) Pending(r clock.ReplicaID) []*core.Label {
-	rep := s.replicas[r]
+func (s *System) Pending(r clock.ReplicaID) []*core.Label { return s.AppendPending(nil, r) }
+
+// AppendPending appends the labels Pending(r) returns to dst, in generation
+// order, and returns the extended slice. It allocates only to grow dst.
+func (s *System) AppendPending(dst []*core.Label, r clock.ReplicaID) []*core.Label {
+	rep := s.replica(r)
 	if rep == nil {
-		return nil
+		return dst
 	}
-	var out []*core.Label
-	for _, l := range s.hist.Labels() {
-		if l.IsQuery() || rep.seen[l.ID] {
-			continue
+	for w := range s.updates {
+		for x := s.pendingWord(rep, w); x != 0; x &= x - 1 {
+			dst = append(dst, s.hist.LabelAt(w<<6|bits.TrailingZeros64(x)))
 		}
-		out = append(out, l)
 	}
-	return out
+	return dst
+}
+
+// AppendDeliverable appends to dst, in generation order, the labels whose
+// effectors Deliverable(r, ·) accepts right now, and returns the extended
+// slice: Pending(r) filtered by Deliverable, as one word-wise subset test per
+// pending effector. It allocates only to grow dst.
+func (s *System) AppendDeliverable(dst []*core.Label, r clock.ReplicaID) []*core.Label {
+	rep := s.replica(r)
+	if rep == nil {
+		return dst
+	}
+	for w := range s.updates {
+		for x := s.pendingWord(rep, w); x != 0; x &= x - 1 {
+			rank := w<<6 | bits.TrailingZeros64(x)
+			if s.deps[rank].subsetOf(rep.seen) {
+				dst = append(dst, s.hist.LabelAt(rank))
+			}
+		}
+	}
+	return dst
 }
 
 // Deliverable reports whether the effector of label id can be delivered at
 // replica r right now under causal delivery: it has not been applied yet and
 // every non-query operation visible to it has already been applied at r.
 func (s *System) Deliverable(r clock.ReplicaID, id uint64) bool {
-	rep := s.replicas[r]
-	l := s.hist.Label(id)
-	if rep == nil || l == nil || l.IsQuery() || rep.seen[id] {
+	rep := s.replica(r)
+	rank, ok := s.hist.RankOf(id)
+	if rep == nil || !ok {
 		return false
 	}
-	for _, p := range s.hist.VisibleTo(l) {
-		if p.IsQuery() {
-			continue
-		}
-		if !rep.seen[p.ID] {
-			return false
-		}
-	}
-	return true
+	return s.updates.test(rank) && !rep.seen.test(rank) && s.deps[rank].subsetOf(rep.seen)
 }
 
 // Deliver applies the effector of the operation with the given label
 // identifier at replica r: the EFFECTOR rule of Figure 7. It fails when the
 // delivery would violate causal delivery or the effector was already applied.
 func (s *System) Deliver(r clock.ReplicaID, id uint64) error {
-	rep, ok := s.replicas[r]
-	if !ok {
+	rep := s.replica(r)
+	if rep == nil {
 		return fmt.Errorf("%s: unknown replica %s", s.typ.Name(), r)
 	}
-	l := s.hist.Label(id)
-	if l == nil {
+	rank, ok := s.hist.RankOf(id)
+	if !ok {
 		return fmt.Errorf("%s: unknown label %d", s.typ.Name(), id)
 	}
+	l := s.hist.LabelAt(rank)
 	if l.IsQuery() {
 		return fmt.Errorf("%s: label %v is a query and has no effector to deliver", s.typ.Name(), l)
 	}
-	if rep.seen[id] {
+	if rep.seen.test(rank) {
 		return fmt.Errorf("%s: effector of %v already applied at %s", s.typ.Name(), l, r)
 	}
-	if !s.Deliverable(r, id) {
+	if !s.deps[rank].subsetOf(rep.seen) {
 		return fmt.Errorf("%s: delivering %v at %s violates causal delivery", s.typ.Name(), l, r)
 	}
-	eff := s.effectors[id]
 	pre := rep.state
-	rep.state = eff.Apply(rep.state)
-	rep.seen[id] = true
+	rep.state = s.effectors[rank].Apply(rep.state)
+	rep.seen.set(rank)
 	if s.cfg.RecordEvents {
 		s.events = append(s.events, Event{
 			Kind:    EventEffector,
@@ -271,7 +348,8 @@ func (s *System) Deliver(r clock.ReplicaID, id uint64) error {
 func (s *System) DeliverAllTo(r clock.ReplicaID) error {
 	for {
 		progressed := false
-		for _, l := range s.Pending(r) {
+		s.scratch = s.AppendPending(s.scratch[:0], r)
+		for _, l := range s.scratch {
 			if s.Deliverable(r, l.ID) {
 				if err := s.Deliver(r, l.ID); err != nil {
 					return err
@@ -283,15 +361,15 @@ func (s *System) DeliverAllTo(r clock.ReplicaID) error {
 			break
 		}
 	}
-	if rest := s.Pending(r); len(rest) > 0 {
-		return fmt.Errorf("%s: %d effectors remain undeliverable at %s", s.typ.Name(), len(rest), r)
+	if rest := len(s.AppendPending(s.scratch[:0], r)); rest > 0 {
+		return fmt.Errorf("%s: %d effectors remain undeliverable at %s", s.typ.Name(), rest, r)
 	}
 	return nil
 }
 
 // DeliverAll delivers every pending effector to every replica.
 func (s *System) DeliverAll() error {
-	for _, r := range s.Replicas() {
+	for _, r := range s.ids {
 		if err := s.DeliverAllTo(r); err != nil {
 			return err
 		}
@@ -302,22 +380,17 @@ func (s *System) DeliverAll() error {
 // DeliverRandom delivers one randomly chosen deliverable effector to a
 // randomly chosen replica, if any. It reports whether a delivery happened.
 func (s *System) DeliverRandom(rng *rand.Rand) bool {
-	type choice struct {
-		r  clock.ReplicaID
-		id uint64
-	}
-	var choices []choice
-	for _, r := range s.Replicas() {
-		for _, l := range s.Pending(r) {
-			if s.Deliverable(r, l.ID) {
-				choices = append(choices, choice{r: r, id: l.ID})
-			}
+	s.choices = s.choices[:0]
+	for _, r := range s.ids {
+		s.scratch = s.AppendDeliverable(s.scratch[:0], r)
+		for _, l := range s.scratch {
+			s.choices = append(s.choices, delivery{r: r, id: l.ID})
 		}
 	}
-	if len(choices) == 0 {
+	if len(s.choices) == 0 {
 		return false
 	}
-	c := choices[rng.Intn(len(choices))]
+	c := s.choices[rng.Intn(len(s.choices))]
 	if err := s.Deliver(c.r, c.id); err != nil {
 		panic(err) // Deliverable was just checked; this is a bug.
 	}
@@ -326,7 +399,7 @@ func (s *System) DeliverRandom(rng *rand.Rand) bool {
 
 // ReplicaState returns a copy of the current state of replica r.
 func (s *System) ReplicaState(r clock.ReplicaID) State {
-	rep := s.replicas[r]
+	rep := s.replica(r)
 	if rep == nil {
 		return nil
 	}
@@ -336,13 +409,20 @@ func (s *System) ReplicaState(r clock.ReplicaID) State {
 // Seen returns the identifiers of the operations applied (or originated) at
 // replica r — the L component of its local configuration.
 func (s *System) Seen(r clock.ReplicaID) map[uint64]bool {
-	rep := s.replicas[r]
+	rep := s.replica(r)
 	if rep == nil {
 		return nil
 	}
-	out := make(map[uint64]bool, len(rep.seen))
-	for id := range rep.seen {
-		out[id] = true
+	return seenIDs(s.hist, rep.seen)
+}
+
+// seenIDs renders a seen-set as a fresh identifier set.
+func seenIDs(h *core.History, seen bitset) map[uint64]bool {
+	out := make(map[uint64]bool)
+	for w, x := range seen {
+		for ; x != 0; x &= x - 1 {
+			out[h.LabelAt(w<<6|bits.TrailingZeros64(x)).ID] = true
+		}
 	}
 	return out
 }
@@ -350,9 +430,24 @@ func (s *System) Seen(r clock.ReplicaID) map[uint64]bool {
 // History returns a copy of the history (L, vis) of the execution so far.
 func (s *System) History() *core.History { return s.hist.Clone() }
 
+// TakeHistory returns the history of the execution so far without copying
+// it, handing ownership to the caller: the system must not be used
+// afterwards. One-shot generators use it in place of History.
+func (s *System) TakeHistory() *core.History {
+	h := s.hist
+	s.hist = nil
+	return h
+}
+
 // EffectorOf returns the effector produced by the operation with the given
 // label identifier (nil for queries).
-func (s *System) EffectorOf(id uint64) Effector { return s.effectors[id] }
+func (s *System) EffectorOf(id uint64) Effector {
+	rank, ok := s.hist.RankOf(id)
+	if !ok {
+		return nil
+	}
+	return s.effectors[rank]
+}
 
 // Events returns the recorded execution events (empty unless RecordEvents was
 // set).
@@ -360,18 +455,13 @@ func (s *System) Events() []Event { return append([]Event(nil), s.events...) }
 
 // Converged reports whether all replicas have applied all effectors and hold
 // equal states — the convergence property of CRDTs after a quiescent period.
-func (s *System) Converged() bool {
-	var first State
-	for _, r := range s.Replicas() {
-		if len(s.Pending(r)) > 0 {
-			return false
-		}
-		st := s.replicas[r].state
-		if first == nil {
-			first = st
-			continue
-		}
-		if !first.EqualState(st) {
+func (s *System) Converged() bool { return converged(s.replicas, s.updates) }
+
+// converged reports whether every replica has seen every update and holds a
+// state equal to the first replica's.
+func converged(reps []*opReplica, updates bitset) bool {
+	for _, rep := range reps {
+		if !updates.subsetOf(rep.seen) || !reps[0].state.EqualState(rep.state) {
 			return false
 		}
 	}

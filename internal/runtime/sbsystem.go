@@ -2,8 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"ralin/internal/clock"
 	"ralin/internal/core"
@@ -18,29 +18,49 @@ type Message struct {
 	ID uint64
 	// From is the sending replica.
 	From clock.ReplicaID
-	// Labels are the identifiers of the operations the sender had seen.
-	Labels map[uint64]bool
-	// State is a snapshot of the sender's state.
+	// State is the sender's state at the time of sending. It is shared with
+	// the sender, not copied: states are values that Apply and Merge never
+	// modify, so the snapshot cannot change after sending. It must not be
+	// modified.
 	State State
+	// seen is the sender's seen-set over history ranks, and hist the history
+	// its ranks index.
+	seen bitset
+	hist *core.History
+}
+
+// AppendLabels appends the identifiers of the operations the sender had
+// seen, in generation order, to dst and returns the extended slice.
+func (m *Message) AppendLabels(dst []uint64) []uint64 {
+	for w, x := range m.seen {
+		for ; x != 0; x &= x - 1 {
+			dst = append(dst, m.hist.LabelAt(w<<6|bits.TrailingZeros64(x)).ID)
+		}
+	}
+	return dst
 }
 
 // SBSystem simulates a state-based CRDT object following the semantics of
 // Appendix D: methods execute locally, replicas exchange state snapshots, and
 // received snapshots are merged with the local state.
 type SBSystem struct {
-	typ      SBType
-	cfg      Config
-	methods  map[string]MethodInfo
-	replicas map[clock.ReplicaID]*opReplica
+	typ     SBType
+	cfg     Config
+	methods map[string]MethodInfo
+	// replicas is indexed by replica identifier; ids lists the identifiers.
+	replicas []*opReplica
+	ids      []clock.ReplicaID
 	hist     *core.History
-	messages map[uint64]*Message
-	genSeq   uint64
-	nextMsg  uint64
-	events   []Event
-	// visScratch plays the same role as System.visScratch: seen-set edges are
-	// inserted in descending identifier order so the reachability index skips
-	// the implied ones with one bit probe each.
-	visScratch []uint64
+	// messages is indexed by message identifier − 1 (identifiers are
+	// assigned 1, 2, … in sending order); msgIDs lists the identifiers.
+	messages []*Message
+	msgIDs   []uint64
+	// updates marks the history ranks of non-query labels.
+	updates bitset
+	// rows backs the seen-sets carried by messages.
+	rows   arena
+	genSeq uint64
+	events []Event
 }
 
 // NewSBSystem creates a simulated deployment of the given state-based CRDT.
@@ -50,12 +70,12 @@ func NewSBSystem(typ SBType, cfg Config) *SBSystem {
 		typ:      typ,
 		cfg:      cfg,
 		methods:  MethodTable(typ.Methods()),
-		replicas: make(map[clock.ReplicaID]*opReplica, cfg.Replicas),
+		replicas: make([]*opReplica, cfg.Replicas),
+		ids:      replicaIDs(cfg.Replicas),
 		hist:     core.NewHistory(),
-		messages: make(map[uint64]*Message),
 	}
-	for i := 0; i < cfg.Replicas; i++ {
-		s.replicas[clock.ReplicaID(i)] = &opReplica{state: typ.Init(), seen: make(map[uint64]bool)}
+	for i := range s.replicas {
+		s.replicas[i] = &opReplica{state: typ.Init()}
 	}
 	return s
 }
@@ -63,21 +83,24 @@ func NewSBSystem(typ SBType, cfg Config) *SBSystem {
 // Type returns the simulated CRDT type.
 func (s *SBSystem) Type() SBType { return s.typ }
 
-// Replicas returns the replica identifiers in increasing order.
-func (s *SBSystem) Replicas() []clock.ReplicaID {
-	out := make([]clock.ReplicaID, 0, len(s.replicas))
-	for r := range s.replicas {
-		out = append(out, r)
+// Replicas returns the replica identifiers in increasing order. The slice is
+// shared with the system and must not be modified.
+func (s *SBSystem) Replicas() []clock.ReplicaID { return s.ids[:len(s.ids):len(s.ids)] }
+
+// replica returns the local configuration of r, or nil for an unknown
+// replica.
+func (s *SBSystem) replica(r clock.ReplicaID) *opReplica {
+	if r < 0 || int(r) >= len(s.replicas) {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.replicas[r]
 }
 
 // Invoke executes method with the given arguments at replica r: the OPERATION
 // rule of the state-based semantics.
 func (s *SBSystem) Invoke(r clock.ReplicaID, method string, args ...core.Value) (*core.Label, error) {
-	rep, ok := s.replicas[r]
-	if !ok {
+	rep := s.replica(r)
+	if rep == nil {
 		return nil, fmt.Errorf("%s: unknown replica %s", s.typ.Name(), r)
 	}
 	info, ok := s.methods[method]
@@ -107,15 +130,16 @@ func (s *SBSystem) Invoke(r clock.ReplicaID, method string, args ...core.Value) 
 	if err := s.hist.Add(l); err != nil {
 		return nil, err
 	}
-	s.visScratch = AppendSeenDescending(s.visScratch[:0], rep.seen)
-	for _, id := range s.visScratch {
-		if err := s.hist.AddVis(id, l.ID); err != nil {
-			return nil, err
-		}
+	if err := addSeenVis(s.hist, rep.seen, l.ID); err != nil {
+		return nil, err
+	}
+	rank := s.hist.Len() - 1
+	if !l.IsQuery() {
+		s.updates.set(rank)
 	}
 	pre := rep.state
 	rep.state = next
-	rep.seen[l.ID] = true
+	rep.seen.set(rank)
 	if s.cfg.RecordEvents {
 		s.events = append(s.events, Event{
 			Kind:     EventGenerator,
@@ -142,17 +166,19 @@ func (s *SBSystem) MustInvoke(r clock.ReplicaID, method string, args ...core.Val
 // (the GENERATE rule). The message stays available for delivery any number of
 // times.
 func (s *SBSystem) Send(r clock.ReplicaID) (*Message, error) {
-	rep, ok := s.replicas[r]
-	if !ok {
+	rep := s.replica(r)
+	if rep == nil {
 		return nil, fmt.Errorf("%s: unknown replica %s", s.typ.Name(), r)
 	}
-	s.nextMsg++
-	labels := make(map[uint64]bool, len(rep.seen))
-	for id := range rep.seen {
-		labels[id] = true
+	m := &Message{
+		ID:    uint64(len(s.messages)) + 1,
+		From:  r,
+		State: rep.state,
+		seen:  s.rows.clone(rep.seen),
+		hist:  s.hist,
 	}
-	m := &Message{ID: s.nextMsg, From: r, Labels: labels, State: rep.state.CloneState()}
-	s.messages[m.ID] = m
+	s.messages = append(s.messages, m)
+	s.msgIDs = append(s.msgIDs, m.ID)
 	return m, nil
 }
 
@@ -160,19 +186,17 @@ func (s *SBSystem) Send(r clock.ReplicaID) (*Message, error) {
 // APPLY rule). Receiving the same message several times is allowed; the merge
 // must be idempotent.
 func (s *SBSystem) Receive(r clock.ReplicaID, msgID uint64) error {
-	rep, ok := s.replicas[r]
-	if !ok {
+	rep := s.replica(r)
+	if rep == nil {
 		return fmt.Errorf("%s: unknown replica %s", s.typ.Name(), r)
 	}
-	m, ok := s.messages[msgID]
-	if !ok {
+	m := s.Message(msgID)
+	if m == nil {
 		return fmt.Errorf("%s: unknown message %d", s.typ.Name(), msgID)
 	}
 	pre := rep.state
-	rep.state = s.typ.Merge(rep.state, m.State.CloneState())
-	for id := range m.Labels {
-		rep.seen[id] = true
-	}
+	rep.state = s.typ.Merge(rep.state, m.State)
+	rep.seen.or(m.seen)
 	if s.cfg.RecordEvents {
 		s.events = append(s.events, Event{
 			Kind:     EventMerge,
@@ -186,18 +210,16 @@ func (s *SBSystem) Receive(r clock.ReplicaID, msgID uint64) error {
 }
 
 // Messages returns the identifiers of all messages sent so far, in sending
-// order.
-func (s *SBSystem) Messages() []uint64 {
-	out := make([]uint64, 0, len(s.messages))
-	for id := range s.messages {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// order. The slice is shared with the system and must not be modified.
+func (s *SBSystem) Messages() []uint64 { return s.msgIDs[:len(s.msgIDs):len(s.msgIDs)] }
 
 // Message returns the message with the given identifier, or nil.
-func (s *SBSystem) Message(id uint64) *Message { return s.messages[id] }
+func (s *SBSystem) Message(id uint64) *Message {
+	if id == 0 || id > uint64(len(s.messages)) {
+		return nil
+	}
+	return s.messages[id-1]
+}
 
 // Broadcast sends the state of replica r and delivers it to every other
 // replica.
@@ -206,7 +228,7 @@ func (s *SBSystem) Broadcast(r clock.ReplicaID) error {
 	if err != nil {
 		return err
 	}
-	for _, other := range s.Replicas() {
+	for _, other := range s.ids {
 		if other == r {
 			continue
 		}
@@ -220,18 +242,18 @@ func (s *SBSystem) Broadcast(r clock.ReplicaID) error {
 // DeliverAll repeatedly exchanges states between all replicas until no
 // replica state changes, bringing the system to a converged configuration.
 func (s *SBSystem) DeliverAll() error {
+	before := make([]State, len(s.replicas))
 	for round := 0; round <= len(s.replicas); round++ {
 		changed := false
-		for _, r := range s.Replicas() {
-			before := make(map[clock.ReplicaID]State)
-			for _, other := range s.Replicas() {
-				before[other] = s.replicas[other].state
+		for _, r := range s.ids {
+			for i, rep := range s.replicas {
+				before[i] = rep.state
 			}
 			if err := s.Broadcast(r); err != nil {
 				return err
 			}
-			for _, other := range s.Replicas() {
-				if !before[other].EqualState(s.replicas[other].state) {
+			for i, rep := range s.replicas {
+				if !before[i].EqualState(rep.state) {
 					changed = true
 				}
 			}
@@ -247,7 +269,7 @@ func (s *SBSystem) DeliverAll() error {
 // replica sends its state to another randomly chosen replica, possibly
 // re-delivering an old message). It reports whether anything happened.
 func (s *SBSystem) ExchangeRandom(rng *rand.Rand) bool {
-	reps := s.Replicas()
+	reps := s.ids
 	if len(reps) < 2 {
 		return false
 	}
@@ -258,7 +280,7 @@ func (s *SBSystem) ExchangeRandom(rng *rand.Rand) bool {
 	}
 	// With probability 1/4, re-deliver an old message instead of a fresh one
 	// to exercise duplication and reordering tolerance.
-	if ids := s.Messages(); len(ids) > 0 && rng.Intn(4) == 0 {
+	if ids := s.msgIDs; len(ids) > 0 && rng.Intn(4) == 0 {
 		if err := s.Receive(to, ids[rng.Intn(len(ids))]); err != nil {
 			panic(err)
 		}
@@ -276,7 +298,7 @@ func (s *SBSystem) ExchangeRandom(rng *rand.Rand) bool {
 
 // ReplicaState returns a copy of the current state of replica r.
 func (s *SBSystem) ReplicaState(r clock.ReplicaID) State {
-	rep := s.replicas[r]
+	rep := s.replica(r)
 	if rep == nil {
 		return nil
 	}
@@ -285,19 +307,24 @@ func (s *SBSystem) ReplicaState(r clock.ReplicaID) State {
 
 // Seen returns the identifiers of the operations visible at replica r.
 func (s *SBSystem) Seen(r clock.ReplicaID) map[uint64]bool {
-	rep := s.replicas[r]
+	rep := s.replica(r)
 	if rep == nil {
 		return nil
 	}
-	out := make(map[uint64]bool, len(rep.seen))
-	for id := range rep.seen {
-		out[id] = true
-	}
-	return out
+	return seenIDs(s.hist, rep.seen)
 }
 
 // History returns a copy of the history (L, vis) of the execution so far.
 func (s *SBSystem) History() *core.History { return s.hist.Clone() }
+
+// TakeHistory returns the history of the execution so far without copying
+// it, handing ownership to the caller: the system must not be used
+// afterwards. One-shot generators use it in place of History.
+func (s *SBSystem) TakeHistory() *core.History {
+	h := s.hist
+	s.hist = nil
+	return h
+}
 
 // Events returns the recorded execution events (empty unless RecordEvents was
 // set).
@@ -306,28 +333,4 @@ func (s *SBSystem) Events() []Event { return append([]Event(nil), s.events...) }
 // Converged reports whether all replicas have seen every state-modifying
 // operation and hold equal states. Queries are local and do not count against
 // convergence.
-func (s *SBSystem) Converged() bool {
-	var updates []uint64
-	for _, l := range s.hist.Labels() {
-		if !l.IsQuery() {
-			updates = append(updates, l.ID)
-		}
-	}
-	var first State
-	for _, r := range s.Replicas() {
-		rep := s.replicas[r]
-		for _, id := range updates {
-			if !rep.seen[id] {
-				return false
-			}
-		}
-		if first == nil {
-			first = rep.state
-			continue
-		}
-		if !first.EqualState(rep.state) {
-			return false
-		}
-	}
-	return true
-}
+func (s *SBSystem) Converged() bool { return converged(s.replicas, s.updates) }

@@ -89,9 +89,12 @@ type SBType interface {
 	Init() State
 	// Apply executes method at replica r on state s and returns the return
 	// value and the successor state. ts is a fresh timestamp for methods that
-	// generate one (⊥ otherwise). Apply must not modify s.
+	// generate one (⊥ otherwise). Apply must not modify s: the runtime
+	// shares a replica's state with the messages it sends.
 	Apply(s State, method string, args []core.Value, ts clock.Timestamp, r clock.ReplicaID) (ret core.Value, next State, err error)
-	// Merge returns the least upper bound of the two states.
+	// Merge returns the least upper bound of the two states. It must not
+	// modify a or b: the runtime shares a sender's state with the messages
+	// it sends instead of copying it.
 	Merge(a, b State) State
 	// Leq reports whether a ≤ b in the join semilattice (the compare method
 	// of Listing 6).
@@ -141,7 +144,9 @@ func (k EventKind) String() string {
 // the replica state before and after the step; Incoming is the merged remote
 // state for EventMerge events.
 type Event struct {
-	Kind    EventKind
+	// Kind is the kind of step.
+	Kind EventKind
+	// Replica is the replica that took the step.
 	Replica clock.ReplicaID
 	// Label is the operation label for generator and effector events, and the
 	// nil label for merge events.

@@ -24,6 +24,7 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"ralin/internal/clock"
 	"ralin/internal/core"
@@ -67,7 +68,8 @@ type Phase struct {
 	DupProb int
 	// HotElem, when HotElemBias > 0, is the element the workload skews
 	// towards: with probability HotElemBias percent an operation draws its
-	// element from {HotElem} instead of the scenario alphabet.
+	// element from {HotElem} instead of the scenario alphabet. Like the
+	// alphabet, it must not contain "|".
 	HotElem string
 	// HotElemBias is the hot-element skew in percent.
 	HotElemBias int
@@ -97,8 +99,9 @@ type Scenario struct {
 	CRDT string
 	// Replicas is the deployment size (default 3).
 	Replicas int
-	// Elems is the element alphabet (default a, b, c). It must not contain
-	// "|", which the naive register transform uses as a join marker.
+	// Elems is the element alphabet (default a, b, c). No element may
+	// contain "|", which the naive register transform uses as a join marker;
+	// Validate rejects one that does.
 	Elems []string
 	// Phases is the fault schedule.
 	Phases []Phase
@@ -114,19 +117,96 @@ type Scenario struct {
 	Mode Mode
 }
 
+// replicas returns the deployment size, applying the default.
+func (sc Scenario) replicas() int {
+	if sc.Replicas <= 0 {
+		return 3
+	}
+	return sc.Replicas
+}
+
+// Validate reports the first malformed field of the scenario: a replica
+// index (hot replica with a positive bias, paused replica, partition member)
+// outside [0, Replicas), a replica listed in two partition groups, a
+// negative operation count, a probability or bias outside 0–100, or an
+// element (alphabet entry or hot element) containing "|". Run validates
+// before it generates anything. Validate does not resolve the CRDT name; Run
+// reports an unknown one.
+func (sc Scenario) Validate() error {
+	n := sc.replicas()
+	inRange := func(r int) bool { return r >= 0 && r < n }
+	for _, el := range sc.Elems {
+		if strings.Contains(el, "|") {
+			return fmt.Errorf("scenario %s: element %q contains \"|\"", sc.Name, el)
+		}
+	}
+	for i := range sc.Phases {
+		p := &sc.Phases[i]
+		bad := func(format string, args ...any) error {
+			return fmt.Errorf("scenario %s, phase %s: "+format, append([]any{sc.Name, p.Name}, args...)...)
+		}
+		if p.Ops < 0 {
+			return bad("negative Ops %d", p.Ops)
+		}
+		for _, pr := range []struct {
+			name string
+			v    int
+		}{
+			{"DeliverProb", p.DeliverProb},
+			{"DropProb", p.DropProb},
+			{"DupProb", p.DupProb},
+			{"HotElemBias", p.HotElemBias},
+			{"HotReplicaBias", p.HotReplicaBias},
+		} {
+			if pr.v < 0 || pr.v > 100 {
+				return bad("%s %d outside 0–100", pr.name, pr.v)
+			}
+		}
+		if p.HotReplicaBias > 0 && !inRange(p.HotReplica) {
+			return bad("HotReplica %d outside [0, %d)", p.HotReplica, n)
+		}
+		if strings.Contains(p.HotElem, "|") {
+			return bad("HotElem %q contains \"|\"", p.HotElem)
+		}
+		for _, r := range p.Paused {
+			if !inRange(r) {
+				return bad("paused replica %d outside [0, %d)", r, n)
+			}
+		}
+		var listed []bool
+		if len(p.Partition) > 0 {
+			listed = make([]bool, n)
+		}
+		for _, grp := range p.Partition {
+			for _, r := range grp {
+				if !inRange(r) {
+					return bad("partition member %d outside [0, %d)", r, n)
+				}
+				if listed[r] {
+					return bad("replica %d listed in two partition groups", r)
+				}
+				listed[r] = true
+			}
+		}
+	}
+	return nil
+}
+
 // Run executes the scenario once under the given seed and returns the induced
 // history. Runs are deterministic: one seeded generator drives every choice
 // (operations, delivery, faults, clock skew), all candidate sets are built in
 // sorted replica/message order, and no wall-clock input exists, so the same
-// scenario and seed yield a byte-identical history.
+// scenario and seed yield a byte-identical history. A scenario that fails
+// Validate is reported as an error.
 func Run(sc Scenario, seed int64) (*core.History, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
 	d, err := registry.Lookup(sc.CRDT)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	if sc.Replicas <= 0 {
-		sc.Replicas = 3
-	}
+	sc.Replicas = sc.replicas()
 	elems := sc.Elems
 	if len(elems) == 0 {
 		elems = []string{"a", "b", "c"}
@@ -136,7 +216,6 @@ func Run(sc Scenario, seed int64) (*core.History, error) {
 		n:     sc.Replicas,
 		elems: elems,
 		rng:   rand.New(rand.NewSource(seed)),
-		ts:    make(map[uint64]clock.Timestamp),
 	}
 	cfg := runtime.Config{Replicas: sc.Replicas}
 	if sc.UseHLC {
@@ -149,12 +228,15 @@ func Run(sc Scenario, seed int64) (*core.History, error) {
 		e.hlc = clock.NewHLC(func(r clock.ReplicaID) uint64 {
 			return e.steps + skew[int(r)]
 		})
+		e.ts = make(map[uint64]clock.Timestamp)
 		cfg.Clock = e.hlc
 	}
 	if d.OpType != nil {
 		e.op = d.NewOpSystem(cfg)
+		e.pin.Invoker = e.op
 	} else {
 		e.sb = d.NewSBSystem(cfg)
+		e.pin.Invoker = e.sb
 	}
 	for i := range sc.Phases {
 		p := &sc.Phases[i]
@@ -163,9 +245,9 @@ func Run(sc Scenario, seed int64) (*core.History, error) {
 		}
 	}
 	if e.op != nil {
-		return e.op.History(), nil
+		return e.op.TakeHistory(), nil
 	}
-	return e.sb.History(), nil
+	return e.sb.TakeHistory(), nil
 }
 
 // engine is the per-run state of the scenario executor.
@@ -183,12 +265,36 @@ type engine struct {
 	steps uint64
 	// ts records the timestamp generated by each invocation, so deliveries
 	// can report it to the HLC (preserving the Figure 7 generator contract:
-	// fresh timestamps dominate everything visible at the origin).
+	// fresh timestamps dominate everything visible at the origin). Only
+	// HLC-timestamped runs keep it.
 	ts map[uint64]clock.Timestamp
+	// pin is the invoker handed to the descriptor's RandomOp, re-pinned to
+	// each operation's replica; hot is the one-element alphabet of a
+	// hot-element draw.
+	pin pinned
+	hot [1]string
+	// Propagation scratch, reused across steps: candidate labels and
+	// (replica, effector) choices for op-based objects, ordered replica
+	// pairs, old message identifiers and carried label identifiers for
+	// state-based ones.
+	labels  []*core.Label
+	choices []delivery
+	pairs   []link
+	olds    []uint64
+	ids     []uint64
 }
 
+// delivery is one candidate op-based propagation step.
+type delivery struct {
+	r  clock.ReplicaID
+	id uint64
+}
+
+// link is one candidate state-based propagation step.
+type link struct{ from, to clock.ReplicaID }
+
 // groupsOf maps each replica index to its connection component under the
-// phase's partition.
+// phase's partition, which Validate has checked to be disjoint and in range.
 func groupsOf(p *Phase, n int) []int {
 	g := make([]int, n)
 	if len(p.Partition) == 0 {
@@ -199,9 +305,7 @@ func groupsOf(p *Phase, n int) []int {
 	}
 	for gi, grp := range p.Partition {
 		for _, r := range grp {
-			if r >= 0 && r < n {
-				g[r] = gi
-			}
+			g[r] = gi
 		}
 	}
 	next := len(p.Partition)
@@ -218,9 +322,7 @@ func (e *engine) runPhase(p *Phase) error {
 	groups := groupsOf(p, e.n)
 	paused := make([]bool, e.n)
 	for _, r := range p.Paused {
-		if r >= 0 && r < e.n {
-			paused[r] = true
-		}
+		paused[r] = true
 	}
 	var active []clock.ReplicaID
 	for r := 0; r < e.n; r++ {
@@ -235,9 +337,8 @@ func (e *engine) runPhase(p *Phase) error {
 		e.steps++
 		r := active[e.rng.Intn(len(active))]
 		if p.HotReplicaBias > 0 && e.rng.Intn(100) < p.HotReplicaBias {
-			hot := clock.ReplicaID(p.HotReplica)
-			if int(hot) < e.n && !paused[hot] {
-				r = hot
+			if !paused[p.HotReplica] {
+				r = clock.ReplicaID(p.HotReplica)
 			}
 		}
 		if err := e.invoke(p, r); err != nil {
@@ -277,24 +378,20 @@ func (e *engine) runPhase(p *Phase) error {
 // RandomOp issues its operation exactly where the schedule decided.
 type pinned struct {
 	crdt.Invoker
-	r clock.ReplicaID
+	r [1]clock.ReplicaID
 }
 
 // Replicas returns only the pinned replica.
-func (p pinned) Replicas() []clock.ReplicaID { return []clock.ReplicaID{p.r} }
+func (p *pinned) Replicas() []clock.ReplicaID { return p.r[:] }
 
 func (e *engine) invoke(p *Phase, r clock.ReplicaID) error {
 	elems := e.elems
 	if p.HotElemBias > 0 && p.HotElem != "" && e.rng.Intn(100) < p.HotElemBias {
-		elems = []string{p.HotElem}
+		e.hot[0] = p.HotElem
+		elems = e.hot[:]
 	}
-	var sys crdt.Invoker
-	if e.op != nil {
-		sys = pinned{Invoker: e.op, r: r}
-	} else {
-		sys = pinned{Invoker: e.sb, r: r}
-	}
-	l, err := e.d.RandomOp(e.rng, sys, elems)
+	e.pin.r[0] = r
+	l, err := e.d.RandomOp(e.rng, &e.pin, elems)
 	if err != nil {
 		return fmt.Errorf("%s operation at replica %d: %w", e.d.Name, r, err)
 	}
@@ -321,29 +418,23 @@ func (e *engine) propagateOp(p *Phase, groups []int, paused []bool) {
 	if p.DropProb > 0 && e.rng.Intn(100) < p.DropProb {
 		return
 	}
-	type choice struct {
-		r  clock.ReplicaID
-		id uint64
-	}
-	var choices []choice
+	e.choices = e.choices[:0]
 	for _, r := range e.op.Replicas() {
 		if paused[int(r)] {
 			continue
 		}
-		for _, l := range e.op.Pending(r) {
-			if !e.op.Deliverable(r, l.ID) {
-				continue
-			}
+		e.labels = e.op.AppendDeliverable(e.labels[:0], r)
+		for _, l := range e.labels {
 			if paused[int(l.Origin)] || groups[int(l.Origin)] != groups[int(r)] {
 				continue
 			}
-			choices = append(choices, choice{r, l.ID})
+			e.choices = append(e.choices, delivery{r, l.ID})
 		}
 	}
-	if len(choices) == 0 {
+	if len(e.choices) == 0 {
 		return
 	}
-	c := choices[e.rng.Intn(len(choices))]
+	c := e.choices[e.rng.Intn(len(e.choices))]
 	if err := e.op.Deliver(c.r, c.id); err == nil {
 		e.observe(c.r, c.id)
 	}
@@ -354,8 +445,7 @@ func (e *engine) propagateOp(p *Phase, groups []int, paused []bool) {
 // a connected sender is re-delivered; merge idempotence makes this safe and
 // turns earlier drops into delays).
 func (e *engine) propagateSB(p *Phase, groups []int, paused []bool) {
-	type pair struct{ from, to clock.ReplicaID }
-	var pairs []pair
+	e.pairs = e.pairs[:0]
 	for _, a := range e.sb.Replicas() {
 		if paused[int(a)] {
 			continue
@@ -364,25 +454,25 @@ func (e *engine) propagateSB(p *Phase, groups []int, paused []bool) {
 			if a == b || paused[int(b)] || groups[int(a)] != groups[int(b)] {
 				continue
 			}
-			pairs = append(pairs, pair{a, b})
+			e.pairs = append(e.pairs, link{a, b})
 		}
 	}
-	if len(pairs) == 0 {
+	if len(e.pairs) == 0 {
 		return
 	}
-	pr := pairs[e.rng.Intn(len(pairs))]
+	pr := e.pairs[e.rng.Intn(len(e.pairs))]
 	if p.DupProb > 0 && e.rng.Intn(100) < p.DupProb {
-		var olds []uint64
+		e.olds = e.olds[:0]
 		for _, id := range e.sb.Messages() {
 			m := e.sb.Message(id)
 			from := int(m.From)
 			if m.From == pr.to || paused[from] || groups[from] != groups[int(pr.to)] {
 				continue
 			}
-			olds = append(olds, id)
+			e.olds = append(e.olds, id)
 		}
-		if len(olds) > 0 {
-			id := olds[e.rng.Intn(len(olds))]
+		if len(e.olds) > 0 {
+			id := e.olds[e.rng.Intn(len(e.olds))]
 			if err := e.sb.Receive(pr.to, id); err == nil {
 				e.observeMsg(pr.to, id)
 			}
@@ -403,34 +493,25 @@ func (e *engine) propagateSB(p *Phase, groups []int, paused []bool) {
 
 // heal reconnects everything (ending partitions and pauses) and delivers
 // every pending message, reporting each delivery to the HLC.
+//
+// For op-based objects each replica in turn receives every pending effector
+// in generation order. That is a causal order: an effector depends only on
+// earlier-generated updates, each already applied or pending, so the
+// earliest pending effector is always deliverable — which also makes this
+// exactly the order of repeatedly delivering the earliest deliverable one.
+// Deliver still checks causal delivery on every step.
 func (e *engine) heal() error {
 	if e.op != nil {
-		for {
-			progress := false
-			for _, r := range e.op.Replicas() {
-				for {
-					delivered := false
-					for _, l := range e.op.Pending(r) {
-						if !e.op.Deliverable(r, l.ID) {
-							continue
-						}
-						if err := e.op.Deliver(r, l.ID); err != nil {
-							return err
-						}
-						e.observe(r, l.ID)
-						delivered = true
-						progress = true
-						break
-					}
-					if !delivered {
-						break
-					}
+		for _, r := range e.op.Replicas() {
+			e.labels = e.op.AppendPending(e.labels[:0], r)
+			for _, l := range e.labels {
+				if err := e.op.Deliver(r, l.ID); err != nil {
+					return err
 				}
-			}
-			if !progress {
-				return nil
+				e.observe(r, l.ID)
 			}
 		}
+		return nil
 	}
 	rs := e.sb.Replicas()
 	for round := 0; round <= len(rs); round++ {
@@ -476,7 +557,8 @@ func (e *engine) observeMsg(r clock.ReplicaID, msgID uint64) {
 	if m == nil {
 		return
 	}
-	for id := range m.Labels {
+	e.ids = m.AppendLabels(e.ids[:0])
+	for _, id := range e.ids {
 		if ts, ok := e.ts[id]; ok {
 			e.hlc.Observe(r, ts)
 		}
