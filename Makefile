@@ -103,11 +103,11 @@ lint:
 	$(MAKE) lint-docs
 
 # The documentation gates (dependency-free, stdlib-only scripts): every
-# exported symbol of the engine packages and of the generation packages
-# (runtime, scenario) carries a doc comment, and every intra-repo markdown
+# exported symbol of the engine packages, of the generation packages
+# (runtime, scenario) and of the experiment harness carries a doc comment, and every intra-repo markdown
 # link resolves. CI runs both (the docs job runs mdlinks).
 lint-docs:
-	$(GO) run ./scripts/lintgodoc ./internal/search ./internal/core ./internal/runtime ./internal/scenario
+	$(GO) run ./scripts/lintgodoc ./internal/search ./internal/core ./internal/runtime ./internal/scenario ./internal/harness
 	$(GO) run ./scripts/mdlinks .
 
 fmt:

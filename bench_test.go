@@ -164,7 +164,7 @@ func benchCheckHistories(b *testing.B, d crdt.Descriptor, cfg harness.WorkloadCo
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := core.CheckRA(h, d.Spec, d.CheckOptions()); !res.OK {
+		if res := core.CheckRA(h, d.Spec, d.CheckOptions()); res.Verdict != core.VerdictValid {
 			b.Fatalf("random history not RA-linearizable: %v", res.LastErr)
 		}
 	}
@@ -203,7 +203,7 @@ func BenchmarkConstructiveVsExhaustive(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				h := histories[i%len(histories)]
-				if res := core.CheckRA(h, d.Spec, v.opts); !res.OK {
+				if res := core.CheckRA(h, d.Spec, v.opts); res.Verdict != core.VerdictValid {
 					b.Fatalf("history not RA-linearizable under %s: %v", v.name, res.LastErr)
 				}
 			}
@@ -327,7 +327,7 @@ func BenchmarkSessionRecheck(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if res := core.CheckRA(h, d.Spec, opts); !res.OK {
+			if res := core.CheckRA(h, d.Spec, opts); res.Verdict != core.VerdictValid {
 				b.Fatalf("history must be RA-linearizable: %v", res.LastErr)
 			}
 		}
@@ -340,14 +340,14 @@ func BenchmarkSessionRecheck(b *testing.B) {
 		// transition cache. The timed loop then measures the warm re-check
 		// steady state: 0 allocs/op, asserted by `make bench-gate`.
 		for w := 0; w < 2; w++ {
-			if res := core.CheckRAWith(h, d.Spec, opts, sess); !res.OK {
+			if res := core.CheckRAWith(h, d.Spec, opts, sess); res.Verdict != core.VerdictValid {
 				b.Fatalf("history must be RA-linearizable: %v", res.LastErr)
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if res := core.CheckRAWith(h, d.Spec, opts, sess); !res.OK {
+			if res := core.CheckRAWith(h, d.Spec, opts, sess); res.Verdict != core.VerdictValid {
 				b.Fatalf("history must be RA-linearizable: %v", res.LastErr)
 			}
 		}
@@ -400,7 +400,7 @@ func BenchmarkEngineNonLinearizable(b *testing.B) {
 			checks, steals := 0, 0
 			for i := 0; i < b.N; i++ {
 				res := core.CheckRA(h, sp, v.opts)
-				if res.OK || !res.Complete {
+				if res.Verdict != core.VerdictInvalid {
 					b.Fatalf("history must be refuted completely: %+v", res)
 				}
 				if res.Nodes > 0 {
@@ -454,7 +454,7 @@ func BenchmarkDegradedRefutation(b *testing.B) {
 			nodes := 0
 			for i := 0; i < b.N; i++ {
 				res := core.CheckRA(h, sp, opts)
-				if res.OK || !res.Complete {
+				if res.Verdict != core.VerdictInvalid {
 					b.Fatalf("history must be refuted completely: %+v", res)
 				}
 				nodes = res.Nodes
@@ -524,7 +524,7 @@ func BenchmarkScenarioCorpus(b *testing.B) {
 		h    *core.History
 		plan scenario.CheckPlan
 		opts core.CheckOptions
-		want bool
+		want core.Verdict
 	}
 	jobs := make([]job, 0, len(entries))
 	for i, e := range entries {
@@ -539,15 +539,15 @@ func BenchmarkScenarioCorpus(b *testing.B) {
 		opts := plan.Options
 		opts.Parallelism = 1
 		opts.Engine = core.EnginePruned
-		jobs = append(jobs, job{paths[i], h, plan, opts, e.RALinearizable})
+		jobs = append(jobs, job{paths[i], h, plan, opts, recordedVerdict(e)})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, j := range jobs {
 			res := core.CheckRA(j.h, j.plan.Spec, j.opts)
-			if res.OK != j.want {
-				b.Fatalf("%s: verdict %v, corpus recorded %v", j.path, res.OK, j.want)
+			if res.Verdict != j.want {
+				b.Fatalf("%s: verdict %v, corpus recorded %v", j.path, res.Verdict, j.want)
 			}
 		}
 	}
@@ -655,7 +655,7 @@ func BenchmarkGuidedVsRankOrder(b *testing.B) {
 		h    *core.History
 		plan scenario.CheckPlan
 		opts core.CheckOptions
-		want bool
+		want core.Verdict
 	}
 	jobs := make([]job, 0, len(entries))
 	for i, e := range entries {
@@ -672,7 +672,7 @@ func BenchmarkGuidedVsRankOrder(b *testing.B) {
 		opts.Exhaustive = true
 		opts.Parallelism = 1
 		opts.Engine = core.EnginePruned
-		jobs = append(jobs, job{paths[i], h, plan, opts, e.RALinearizable})
+		jobs = append(jobs, job{paths[i], h, plan, opts, recordedVerdict(e)})
 	}
 	for _, mode := range []core.Guidance{core.GuidanceRankOrder, core.GuidanceGuided} {
 		b.Run(mode.String(), func(b *testing.B) {
@@ -685,11 +685,11 @@ func BenchmarkGuidedVsRankOrder(b *testing.B) {
 					opts := j.opts
 					opts.Guidance = mode
 					res := core.CheckRA(j.h, j.plan.Spec, opts)
-					if res.OK != j.want || !res.Complete {
-						b.Fatalf("%s (%s): verdict %v complete=%v, corpus recorded %v",
-							j.path, mode, res.OK, res.Complete, j.want)
+					if res.Verdict != j.want {
+						b.Fatalf("%s (%s): verdict %v, corpus recorded %v",
+							j.path, mode, res.Verdict, j.want)
 					}
-					if res.OK {
+					if res.Verdict == core.VerdictValid {
 						witNodes += int64(res.Nodes)
 						witCount++
 					} else {

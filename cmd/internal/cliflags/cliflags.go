@@ -35,7 +35,7 @@ type Common struct {
 func AddCommon(fs *flag.FlagSet) *Common {
 	return &Common{
 		engine:       fs.String("engine", "auto", "exhaustive-search engine: auto, pruned or legacy"),
-		guidance:     fs.String("guidance", "auto", "pruned-engine branch ordering: auto, rank-order or guided (heuristic; same verdicts, fewer nodes on refutations)"),
+		guidance:     fs.String("guidance", "rank-order", "pruned-engine branch ordering: rank-order or guided (heuristic; same verdicts, fewer nodes on refutations)"),
 		parallel:     fs.Int("parallel", 0, "pruned-engine worker goroutines sharing one memo table via work stealing (0 = GOMAXPROCS)"),
 		batchWorkers: fs.Int("batch-workers", 0, "goroutines checking histories of one batch concurrently over a shared engine session (0 = GOMAXPROCS, 1 = sequential)"),
 		timeout:      fs.Duration("timeout", 0, "wall-clock budget for the whole run; trials past the deadline report verdict unknown instead of hanging (0 = none)"),

@@ -19,6 +19,15 @@ import (
 
 const corpusDir = "testdata/corpus"
 
+// recordedVerdict is the verdict a corpus entry records: every committed
+// entry was decided, Valid when RA-linearizable and Invalid otherwise.
+func recordedVerdict(e scenario.Entry) core.Verdict {
+	if e.RALinearizable {
+		return core.VerdictValid
+	}
+	return core.VerdictInvalid
+}
+
 func loadCorpus(t testing.TB) ([]scenario.Entry, []string) {
 	t.Helper()
 	entries, paths, err := scenario.LoadCorpus(corpusDir)
@@ -45,9 +54,9 @@ func TestScenarioCorpusReplay(t *testing.T) {
 			t.Fatalf("%s: %v", paths[i], err)
 		}
 		res := core.CheckRA(h, plan.Spec, plan.Options)
-		if res.OK != e.RALinearizable {
+		if res.Verdict != recordedVerdict(e) {
 			t.Errorf("%s: replay verdict %v, corpus recorded %v (scenario %s seed %d vs %s)",
-				paths[i], res.OK, e.RALinearizable, e.Scenario, e.Seed, e.Spec)
+				paths[i], res.Verdict, recordedVerdict(e), e.Scenario, e.Seed, e.Spec)
 		}
 	}
 }
@@ -151,15 +160,14 @@ func TestScenarioCorpusGuidedDifferential(t *testing.T) {
 		rank := core.CheckRA(h, plan.Spec, opts)
 		opts.Guidance = core.GuidanceGuided
 		guided := core.CheckRA(h, plan.Spec, opts)
-		if rank.OK != guided.OK || rank.Complete != guided.Complete || rank.Verdict != guided.Verdict {
-			t.Errorf("%s: guided verdict diverged from rank order: rank OK=%v/%v guided OK=%v/%v",
-				paths[i], rank.OK, rank.Verdict, guided.OK, guided.Verdict)
+		if rank.Verdict != guided.Verdict {
+			t.Errorf("%s: guided verdict %v diverged from rank order %v", paths[i], guided.Verdict, rank.Verdict)
 			continue
 		}
-		if rank.OK != e.RALinearizable {
-			t.Errorf("%s: verdict %v does not match corpus record %v", paths[i], rank.OK, e.RALinearizable)
+		if rank.Verdict != recordedVerdict(e) {
+			t.Errorf("%s: verdict %v does not match corpus record %v", paths[i], rank.Verdict, recordedVerdict(e))
 		}
-		if !rank.OK && guided.Nodes > rank.Nodes {
+		if rank.Verdict == core.VerdictInvalid && guided.Nodes > rank.Nodes {
 			t.Errorf("%s: guided refutation explored more nodes than rank order: %d > %d",
 				paths[i], guided.Nodes, rank.Nodes)
 		}
@@ -187,12 +195,12 @@ func TestScenarioCorpusEnginesAgree(t *testing.T) {
 		for _, engine := range []core.Engine{core.EnginePruned, core.EngineLegacy} {
 			opts.Engine = engine
 			res := core.CheckRA(h, plan.Spec, opts)
-			if !res.OK && !res.Complete {
+			if res.Verdict == core.VerdictUnknown {
 				t.Errorf("%s: engine %v did not decide the entry within budget", paths[i], engine)
 				continue
 			}
-			if res.OK != e.RALinearizable {
-				t.Errorf("%s: engine %v verdict %v, corpus recorded %v", paths[i], engine, res.OK, e.RALinearizable)
+			if res.Verdict != recordedVerdict(e) {
+				t.Errorf("%s: engine %v verdict %v, corpus recorded %v", paths[i], engine, res.Verdict, recordedVerdict(e))
 			}
 		}
 	}

@@ -61,8 +61,8 @@ func main() {
 	// The whole editing session is RA-linearizable w.r.t. the sequential
 	// list specification, using timestamp-order linearizations.
 	res := core.CheckRA(doc.History(), d.Spec, d.CheckOptions())
-	fmt.Printf("session RA-linearizable: %v (strategy %v, %d candidate(s) tried)\n",
-		res.OK, res.Strategy, res.Tried)
+	fmt.Printf("session verdict: %v (strategy %v, %d candidate(s) tried)\n",
+		res.Verdict, res.Strategy, res.Tried)
 }
 
 func invoke(sys *runtime.System, replica clock.ReplicaID, method string, args ...core.Value) {

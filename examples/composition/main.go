@@ -66,7 +66,7 @@ func run(mode compose.Mode) {
 	// The composed history is RA-linearizable with respect to
 	// Spec(OR-Set) ⊗ Spec(Counter).
 	res := core.CheckRA(h, compose.SpecOf(store), compose.CheckOptions(store))
-	fmt.Printf("  composed history RA-linearizable: %v (strategy %v)\n", res.OK, res.Strategy)
+	fmt.Printf("  composed history verdict: %v (strategy %v)\n", res.Verdict, res.Strategy)
 }
 
 func mustInvoke(s *compose.System, object string, replica clock.ReplicaID, method string, args ...core.Value) *core.Label {

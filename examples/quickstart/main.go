@@ -48,8 +48,8 @@ func main() {
 	history := sys.History()
 	result := core.CheckRA(history, d.Spec, d.CheckOptions())
 	fmt.Printf("history has %d operations\n", history.Len())
-	fmt.Printf("RA-linearizable: %v (witness strategy: %v)\n", result.OK, result.Strategy)
-	if result.OK {
+	fmt.Printf("verdict: %v (witness strategy: %v)\n", result.Verdict, result.Strategy)
+	if result.Verdict == core.VerdictValid {
 		fmt.Println("witness linearization:")
 		fmt.Println(" ", core.FormatLabels(result.Linearization))
 	}

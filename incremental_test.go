@@ -76,17 +76,17 @@ func TestScenarioCorpusIncrementalReplay(t *testing.T) {
 			incOpts.Session = sess
 			res := core.CheckRAExtend(g, plan.Spec, []*core.Label{l}, incOpts)
 			fresh := core.CheckRA(g.Clone(), plan.Spec, opts)
-			if res.Verdict != fresh.Verdict || res.OK != fresh.OK || res.Complete != fresh.Complete {
-				t.Fatalf("%s: prefix %d/%d: incremental verdict %v (OK=%v, replayed=%v) diverges from from-scratch %v (OK=%v)",
-					paths[i], k+1, h.Len(), res.Verdict, res.OK, res.WitnessReplayed, fresh.Verdict, fresh.OK)
+			if res.Verdict != fresh.Verdict {
+				t.Fatalf("%s: prefix %d/%d: incremental verdict %v (replayed=%v) diverges from from-scratch %v",
+					paths[i], k+1, h.Len(), res.Verdict, res.WitnessReplayed, fresh.Verdict)
 			}
 			if res.WitnessReplayed {
 				replayed++
 			}
 			last = res
 		}
-		if last.OK != e.RALinearizable {
-			t.Errorf("%s: final incremental verdict %v does not match corpus record %v", paths[i], last.OK, e.RALinearizable)
+		if last.Verdict != recordedVerdict(e) {
+			t.Errorf("%s: final incremental verdict %v does not match corpus record %v", paths[i], last.Verdict, recordedVerdict(e))
 		}
 		if h.Len() > 1 && replayed == 0 {
 			t.Errorf("%s: no prefix replayed its certificate over %d ops — the incremental path never engaged", paths[i], h.Len())

@@ -94,7 +94,7 @@ func TestComposeMixedOpAndStateBased(t *testing.T) {
 		t.Fatalf("composed set read %v, want [book]", got)
 	}
 	res := core.CheckRA(sys.History(), SpecOf(sys), CheckOptions(sys))
-	if !res.OK {
+	if res.Verdict != core.VerdictValid {
 		t.Fatalf("mixed composition must be RA-linearizable: %v", res.LastErr)
 	}
 	if err := sys.Deliver("hits", 0, 1); err == nil {
@@ -163,7 +163,7 @@ func TestFig9CompositionOfExecutionOrderObjects(t *testing.T) {
 
 	// The composed history is RA-linearizable (Theorem 5.3)…
 	res := core.CheckRA(h, spec, opts)
-	if !res.OK {
+	if res.Verdict != core.VerdictValid {
 		t.Fatalf("Figure 9 history must be RA-linearizable: %v", res.LastErr)
 	}
 
@@ -253,12 +253,9 @@ func fig10System(t *testing.T) (*System, *core.History) {
 func TestFig10UnrestrictedCompositionNotRALinearizable(t *testing.T) {
 	sys, h := fig10System(t)
 	res := core.CheckRA(h, SpecOf(sys), CheckOptions(sys))
-	if res.OK {
-		t.Fatalf("Figure 10 history must not be RA-linearizable under ⊗; witness: %s",
-			core.FormatLabels(res.Linearization))
-	}
-	if !res.Complete {
-		t.Fatal("the negative verdict must be complete")
+	if res.Verdict != core.VerdictInvalid {
+		t.Fatalf("Figure 10 history must be refuted under ⊗, got %v; witness: %s",
+			res.Verdict, core.FormatLabels(res.Linearization))
 	}
 }
 
@@ -285,7 +282,7 @@ func TestFig10SharedTimestampCompositionIsRALinearizable(t *testing.T) {
 	sys.MustInvoke("o2", 2, "read")
 	sys.MustInvoke("o1", 2, "read")
 	res := core.CheckRA(sys.History(), SpecOf(sys), CheckOptions(sys))
-	if !res.OK {
+	if res.Verdict != core.VerdictValid {
 		t.Fatalf("⊗ts composition must be RA-linearizable: %v", res.LastErr)
 	}
 }
@@ -306,7 +303,7 @@ func TestComposeRandomWorkloadSharedTimestampsRALinearizable(t *testing.T) {
 			}
 		}
 		res := core.CheckRA(sys.History(), SpecOf(sys), CheckOptions(sys))
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			t.Fatalf("trial %d: composed random history not RA-linearizable: %v\n%s",
 				trial, res.LastErr, sys.History())
 		}
@@ -340,7 +337,7 @@ func TestComposeRandomWorkloadExecutionOrderObjectsUnrestricted(t *testing.T) {
 			}
 		}
 		res := core.CheckRA(sys.History(), SpecOf(sys), CheckOptions(sys))
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			t.Fatalf("trial %d: ⊗ composition of execution-order objects not RA-linearizable: %v\n%s",
 				trial, res.LastErr, sys.History())
 		}

@@ -84,31 +84,27 @@ func ParseEngine(s string) (Engine, error) {
 type Guidance int
 
 const (
-	// GuidanceAuto resolves to GuidanceRankOrder: branch ordering stays a
-	// deterministic function of the history alone, so batches through warm and
-	// fresh sessions report identical node counts. Guided mode is opt-in
-	// because its signals (interner novelty, session success scores) depend on
-	// session warmth.
-	GuidanceAuto Guidance = iota
-	// GuidanceRankOrder explores sibling branches in generator-sequence rank
-	// order — the historical behaviour, and the reference side of the
+	// GuidanceRankOrder, the default, explores sibling branches in
+	// generator-sequence rank order: branch ordering stays a deterministic
+	// function of the history alone, so batches through warm and fresh
+	// sessions report identical node counts. It is the reference side of the
 	// differential gate on guided mode.
-	GuidanceRankOrder
+	GuidanceRankOrder Guidance = iota
 	// GuidanceGuided enables heuristic exploration: enabled queries are placed
 	// immediately (their justification is final once every visible update is
 	// placed, so committing to them is a sound reduction in RA mode), and the
 	// remaining candidates are ordered by a composite score — novel spec
 	// states first, then pending-query justification counts, then a per-label
 	// success score learned across a session's batch. Verdicts are identical
-	// to rank order; Nodes and wall-clock may change.
+	// to rank order; Nodes and wall-clock may change. It is opt-in because
+	// its signals (interner novelty, session success scores) depend on
+	// session warmth.
 	GuidanceGuided
 )
 
 // String renders the guidance mode name as accepted by ParseGuidance.
 func (g Guidance) String() string {
 	switch g {
-	case GuidanceAuto:
-		return "auto"
 	case GuidanceRankOrder:
 		return "rank-order"
 	case GuidanceGuided:
@@ -122,25 +118,13 @@ func (g Guidance) String() string {
 // -guidance flag.
 func ParseGuidance(s string) (Guidance, error) {
 	switch s {
-	case "auto", "":
-		return GuidanceAuto, nil
-	case "rank-order", "rank":
+	case "rank-order", "":
 		return GuidanceRankOrder, nil
 	case "guided":
 		return GuidanceGuided, nil
 	default:
-		return GuidanceAuto, fmt.Errorf("unknown guidance %q (want auto, rank-order or guided)", s)
+		return GuidanceRankOrder, fmt.Errorf("unknown guidance %q (want rank-order or guided)", s)
 	}
-}
-
-// ResolveGuidance reports which branch-ordering mode a CheckOptions.Guidance
-// value selects: GuidanceAuto resolves to GuidanceRankOrder, everything else
-// is itself. Tools use it to report the mode that actually runs.
-func ResolveGuidance(g Guidance) Guidance {
-	if g == GuidanceGuided {
-		return GuidanceGuided
-	}
-	return GuidanceRankOrder
 }
 
 // EngineSession is an opaque handle to cross-check state owned by a search
@@ -182,9 +166,9 @@ type CheckOptions struct {
 	// Engine selects the algorithm used for the exhaustive phase.
 	Engine Engine
 	// Guidance selects the pruned engine's branch ordering: rank order (the
-	// deterministic default, also what GuidanceAuto resolves to) or guided
-	// heuristic ordering. Guidance never changes a verdict — only Nodes and
-	// wall-clock. See the Guidance constants.
+	// deterministic default) or guided heuristic ordering. Guidance never
+	// changes a verdict — only Nodes and wall-clock. See the Guidance
+	// constants.
 	Guidance Guidance
 	// Parallelism bounds the number of worker goroutines the pruned engine
 	// fans the top-level branches across. Zero means GOMAXPROCS; one forces a
@@ -221,12 +205,17 @@ func DefaultCheckOptions() CheckOptions {
 	}
 }
 
-// Result is the outcome of an RA-linearizability check.
+// Result is the outcome of an RA-linearizability check. Its contract:
+// Verdict is VerdictValid exactly when Linearization is set, VerdictUnknown
+// exactly when Incomplete is set, and a VerdictInvalid result explains the
+// refutation in LastErr.
 type Result struct {
-	// OK reports whether an RA-linearization was found.
-	OK bool
+	// Verdict is the three-valued outcome: Valid (witness found), Invalid
+	// (search space exhausted, no witness) or Unknown (truncated before a
+	// decision).
+	Verdict Verdict
 	// Linearization is a witness RA-linearization of the rewritten history
-	// when OK is true.
+	// when Verdict is VerdictValid.
 	Linearization []*Label
 	// Rewritten is the γ-rewriting of the checked history.
 	Rewritten *History
@@ -235,11 +224,6 @@ type Result struct {
 	Strategy *Strategy
 	// Tried is the number of candidate sequences examined.
 	Tried int
-	// Complete reports whether the verdict is definitive: either a witness
-	// was found, or every linear extension was examined and rejected. When
-	// false, the exhaustive search was truncated by MaxExtensions (legacy
-	// engine) or MaxNodes (pruned engine).
-	Complete bool
 	// LastErr explains why the most recent candidate was rejected.
 	LastErr error
 	// Engine records which engine ran the exhaustive phase. Meaningful only
@@ -272,11 +256,6 @@ type Result struct {
 	// session's rewrite cache instead of being re-derived (Rewritten then
 	// aliases the cached clone).
 	RewriteCached bool
-	// Verdict is the three-valued outcome: Valid (witness found), Invalid
-	// (search space exhausted, no witness) or Unknown (truncated before a
-	// decision). It is derived from OK and Complete, which remain populated
-	// for callers that predate it.
-	Verdict Verdict
 	// Incomplete explains the truncation when Verdict is VerdictUnknown, and
 	// is nil otherwise.
 	Incomplete *Incomplete
@@ -410,14 +389,6 @@ func IsRALinearization(h *History, seq []*Label, spec Spec) error {
 // configured constructive strategies, and optionally searches all linear
 // extensions of the visibility relation.
 func CheckRA(h *History, spec Spec, opts CheckOptions) Result {
-	res := checkRA(h, spec, opts)
-	res.finalizeVerdict()
-	return res
-}
-
-// checkRA is CheckRA without the final verdict derivation; every return path
-// leaves OK/Complete (and Incomplete, when truncated) consistent.
-func checkRA(h *History, spec Spec, opts CheckOptions) Result {
 	res := Result{}
 	if inc := ContextIncomplete(opts.Context); inc != nil {
 		res.Incomplete = inc
@@ -426,21 +397,20 @@ func checkRA(h *History, spec Spec, opts CheckOptions) Result {
 	rew, cached, err := rewriteForCheck(h, opts)
 	if err != nil {
 		res.LastErr = err
-		res.Complete = true
+		res.Verdict = VerdictInvalid
 		return res
 	}
 	res.Rewritten = rew.History
 	res.RewriteCached = cached
 	if !rew.History.IsAcyclic() {
 		res.LastErr = fmt.Errorf("%w: visibility relation is cyclic", ErrNotRALinearizable)
-		res.Complete = true
+		res.Verdict = VerdictInvalid
 		return res
 	}
 
 	for _, s := range opts.Strategies {
 		if inc := ContextIncomplete(opts.Context); inc != nil {
 			res.Incomplete = inc
-			res.Complete = false
 			return res
 		}
 		var seq []*Label
@@ -455,8 +425,7 @@ func checkRA(h *History, spec Spec, opts CheckOptions) Result {
 		res.Tried++
 		if err := IsRALinearization(rew.History, seq, spec); err == nil {
 			strategy := s
-			res.OK = true
-			res.Complete = true
+			res.Verdict = VerdictValid
 			res.Linearization = seq
 			res.Strategy = &strategy
 			return res
@@ -466,7 +435,6 @@ func checkRA(h *History, spec Spec, opts CheckOptions) Result {
 	}
 
 	if !opts.Exhaustive {
-		res.Complete = false
 		res.Incomplete = &Incomplete{
 			Reason: ReasonNoSearch,
 			Detail: "constructive strategies found no witness and the exhaustive search is disabled",
@@ -476,53 +444,44 @@ func checkRA(h *History, spec Spec, opts CheckOptions) Result {
 
 	res.Engine = resolveEngine(opts.Engine)
 	if res.Engine == EnginePruned {
-		out := prunedEngine(rew.History, spec, false, opts)
-		applyEngineOutcome(&res, out)
-		if res.Complete && !res.OK && res.LastErr != nil {
-			res.LastErr = fmt.Errorf("%w: %v", ErrNotRALinearizable, res.LastErr)
-		}
-		return res
+		res.ApplyOutcome(prunedEngine(rew.History, spec, false, opts))
+	} else {
+		res.ApplyOutcome(legacySearch(rew.History, opts, func(seq []*Label) error {
+			return IsRALinearization(rew.History, seq, spec)
+		}))
 	}
+	if res.Verdict == VerdictInvalid && res.LastErr != nil {
+		res.LastErr = fmt.Errorf("%w: %v", ErrNotRALinearizable, res.LastErr)
+	}
+	return res
+}
 
-	found := false
-	var witness []*Label
-	var ctxInc *Incomplete
-	_, truncated := LinearExtensions(rew.History, opts.MaxExtensions, func(seq []*Label) bool {
-		if ctxInc = ContextIncomplete(opts.Context); ctxInc != nil {
+// legacySearch is the generate-then-test enumerator behind EngineLegacy: it
+// validates every linear extension of h's visibility relation with check, up
+// to opts.MaxExtensions of them, and reports in the pruned engine's terms.
+func legacySearch(h *History, opts CheckOptions, check func(seq []*Label) error) EngineOutcome {
+	var out EngineOutcome
+	_, truncated := LinearExtensions(h, opts.MaxExtensions, func(seq []*Label) bool {
+		if out.Incomplete = ContextIncomplete(opts.Context); out.Incomplete != nil {
 			return false
 		}
-		res.Tried++
-		if err := IsRALinearization(rew.History, seq, spec); err == nil {
-			found = true
-			witness = seq
-			return false
-		} else {
-			res.LastErr = err
+		out.Leaves++
+		if err := check(seq); err != nil {
+			out.LastErr = err
+			return true
 		}
-		return true
+		out.OK = true
+		out.Witness = seq
+		return false
 	})
-	if found {
-		res.OK = true
-		res.Complete = true
-		res.Linearization = witness
-		return res
-	}
-	if ctxInc != nil {
-		res.Complete = false
-		res.Incomplete = ctxInc
-		return res
-	}
-	res.Complete = !truncated
-	if truncated {
-		res.Incomplete = &Incomplete{
+	out.Complete = out.OK || (out.Incomplete == nil && !truncated)
+	if !out.Complete && out.Incomplete == nil {
+		out.Incomplete = &Incomplete{
 			Reason: ReasonNodeBudget,
 			Detail: fmt.Sprintf("legacy enumeration truncated at MaxExtensions=%d", opts.MaxExtensions),
 		}
 	}
-	if res.Complete && res.LastErr != nil {
-		res.LastErr = fmt.Errorf("%w: %v", ErrNotRALinearizable, res.LastErr)
-	}
-	return res
+	return out
 }
 
 // Extender is the optional incremental-extension interface an EngineSession
@@ -535,7 +494,7 @@ type Extender interface {
 	EngineSession
 	// Extend checks h (which already contains newOps as its final labels)
 	// incrementally against the session's cached state for h's prefix. The
-	// returned Result is finalized — Verdict and Incomplete are populated.
+	// returned Result keeps the same contract as CheckRA's.
 	Extend(h *History, spec Spec, newOps []*Label, opts CheckOptions) Result
 }
 
@@ -554,11 +513,6 @@ func CheckRAExtend(h *History, spec Spec, newOps []*Label, opts CheckOptions) Re
 	return CheckRA(h, spec, opts)
 }
 
-// Finalize derives Verdict and Incomplete from OK/Complete (the exported
-// counterpart of the internal derivation CheckRA applies; engine packages
-// implementing Extender use it to finalize the Results they build).
-func (r *Result) Finalize() { r.finalizeVerdict() }
-
 // CheckRAWith is CheckRA with an explicit engine session: the check reuses
 // the session's interned state IDs and pooled search scratch instead of
 // rebuilding them, which amortizes warm-up across the histories of a batch.
@@ -567,32 +521,6 @@ func (r *Result) Finalize() { r.finalizeVerdict() }
 func CheckRAWith(h *History, spec Spec, opts CheckOptions, session EngineSession) Result {
 	opts.Session = session
 	return CheckRA(h, spec, opts)
-}
-
-// applyEngineOutcome folds a search engine's outcome into a Result.
-func applyEngineOutcome(res *Result, out EngineOutcome) {
-	res.Tried += out.Leaves
-	res.Nodes = out.Nodes
-	res.Pruned = out.Pruned
-	res.MemoHits = out.MemoHits
-	res.Steals = out.Steals
-	res.Shards = out.Shards
-	res.Workers = out.Workers
-	res.PlanReused = out.PlanReused
-	res.MemDegraded = out.MemDegraded
-	if out.LastErr != nil {
-		res.LastErr = out.LastErr
-	}
-	if out.OK {
-		res.OK = true
-		res.Complete = true
-		res.Linearization = out.Witness
-		return
-	}
-	res.Complete = out.Complete
-	if !out.Complete {
-		res.Incomplete = out.Incomplete
-	}
 }
 
 // CheckStrongLinearizable checks a stricter criterion used for the Figure 5a
@@ -607,28 +535,22 @@ func applyEngineOutcome(res *Result, out EngineOutcome) {
 // judged against the full preceding prefix, so its justification is not final
 // at enablement).
 func CheckStrongLinearizable(h *History, spec Spec, opts CheckOptions) Result {
-	res := checkStrongLinearizable(h, spec, opts)
-	res.finalizeVerdict()
-	return res
-}
-
-func checkStrongLinearizable(h *History, spec Spec, opts CheckOptions) Result {
 	res := Result{Rewritten: h}
 	if inc := ContextIncomplete(opts.Context); inc != nil {
 		res.Incomplete = inc
 		return res
 	}
 	if !h.IsAcyclic() {
-		res.Complete = true
+		res.Verdict = VerdictInvalid
 		res.LastErr = fmt.Errorf("visibility relation is cyclic")
 		return res
 	}
 	res.Engine = resolveEngine(opts.Engine)
 	if res.Engine == EnginePruned {
-		applyEngineOutcome(&res, prunedEngine(h, spec, true, opts))
+		res.ApplyOutcome(prunedEngine(h, spec, true, opts))
 		return res
 	}
-	check := func(seq []*Label) error {
+	res.ApplyOutcome(legacySearch(h, opts, func(seq []*Label) error {
 		// The whole sequence, with query-updates treated as updates and
 		// queries evaluated against the full preceding prefix, must be
 		// admitted by the specification.
@@ -647,41 +569,6 @@ func checkStrongLinearizable(h *History, spec Spec, opts CheckOptions) Result {
 			}
 		}
 		return nil
-	}
-	found := false
-	var witness []*Label
-	var ctxInc *Incomplete
-	_, truncated := LinearExtensions(h, opts.MaxExtensions, func(seq []*Label) bool {
-		if ctxInc = ContextIncomplete(opts.Context); ctxInc != nil {
-			return false
-		}
-		res.Tried++
-		if err := check(seq); err == nil {
-			found = true
-			witness = seq
-			return false
-		} else {
-			res.LastErr = err
-		}
-		return true
-	})
-	if found {
-		res.OK = true
-		res.Complete = true
-		res.Linearization = witness
-		return res
-	}
-	if ctxInc != nil {
-		res.Complete = false
-		res.Incomplete = ctxInc
-		return res
-	}
-	res.Complete = !truncated
-	if truncated {
-		res.Incomplete = &Incomplete{
-			Reason: ReasonNodeBudget,
-			Detail: fmt.Sprintf("legacy enumeration truncated at MaxExtensions=%d", opts.MaxExtensions),
-		}
-	}
+	}))
 	return res
 }

@@ -58,7 +58,7 @@ func TestIsRALinearizationRejectsQueryUpdates(t *testing.T) {
 func TestCheckRACounter(t *testing.T) {
 	h := counterHistory()
 	res := CheckRA(h, counterSpec{}, DefaultCheckOptions())
-	if !res.OK {
+	if res.Verdict != VerdictValid {
 		t.Fatalf("history must be RA-linearizable: %v", res.LastErr)
 	}
 	if res.Strategy == nil || *res.Strategy != StrategyExecutionOrder {
@@ -79,7 +79,7 @@ func TestCheckRAExhaustiveFallback(t *testing.T) {
 	// No visibility: the read saw nothing.
 	opts := CheckOptions{Exhaustive: true}
 	res := CheckRA(h, counterSpec{}, opts)
-	if !res.OK {
+	if res.Verdict != VerdictValid {
 		t.Fatalf("history must be RA-linearizable by some extension: %v", res.LastErr)
 	}
 	// With only the execution-order strategy and no exhaustive search the
@@ -91,11 +91,8 @@ func TestCheckRAExhaustiveFallback(t *testing.T) {
 	read := h2.MustAdd(&Label{ID: 2, Method: "read", Ret: int64(0), Kind: KindQuery, Origin: 1, GenSeq: 2})
 	h2.MustAddVis(inc.ID, read.ID)
 	res2 := CheckRA(h2, counterSpec{}, DefaultCheckOptions())
-	if res2.OK {
-		t.Fatal("read⇒0 seeing an inc must not be RA-linearizable")
-	}
-	if !res2.Complete {
-		t.Fatal("small search space must be exhausted")
+	if res2.Verdict != VerdictInvalid {
+		t.Fatalf("read⇒0 seeing an inc must be refuted by the exhausted search, got %v", res2.Verdict)
 	}
 }
 
@@ -105,7 +102,7 @@ func TestCheckRANotLinearizableIsComplete(t *testing.T) {
 	read := h.MustAdd(&Label{ID: 2, Method: "read", Ret: int64(5), Kind: KindQuery, Origin: 1, GenSeq: 2})
 	h.MustAddVis(inc.ID, read.ID)
 	res := CheckRA(h, counterSpec{}, DefaultCheckOptions())
-	if res.OK || !res.Complete {
+	if res.Verdict != VerdictInvalid {
 		t.Fatalf("expected complete negative verdict, got %+v", res)
 	}
 	if res.LastErr == nil {
@@ -128,11 +125,8 @@ func TestCheckRATruncatedSearchIsIncomplete(t *testing.T) {
 		h.MustAddVis(i, bad.ID)
 	}
 	res := CheckRA(h, counterSpec{}, CheckOptions{Exhaustive: true, MaxExtensions: 3})
-	if res.OK {
-		t.Fatal("unjustifiable read cannot be linearized")
-	}
-	if res.Complete {
-		t.Fatal("truncated search must be reported as incomplete")
+	if res.Verdict != VerdictUnknown || res.Incomplete == nil {
+		t.Fatalf("truncated search must be reported as unknown, got %v", res.Verdict)
 	}
 }
 
@@ -154,7 +148,7 @@ func TestCheckRAWithQueryUpdateRewriting(t *testing.T) {
 	opts := DefaultCheckOptions()
 	opts.Rewriting = pairSetRewriting
 	res := CheckRA(h, spec, opts)
-	if !res.OK {
+	if res.Verdict != VerdictValid {
 		t.Fatalf("rewritten OR-Set style history must be RA-linearizable: %v", res.LastErr)
 	}
 	if res.Rewritten.Len() != 5 {
@@ -165,7 +159,7 @@ func TestCheckRAWithQueryUpdateRewriting(t *testing.T) {
 func TestCheckStrongLinearizable(t *testing.T) {
 	// The same counter history is strongly linearizable…
 	res := CheckStrongLinearizable(counterHistory(), counterSpec{}, CheckOptions{})
-	if !res.OK {
+	if res.Verdict != VerdictValid {
 		t.Fatalf("counter history must be strongly linearizable: %v", res.LastErr)
 	}
 	// …but a read that sees both incs yet returns 1 is not.
@@ -176,13 +170,13 @@ func TestCheckStrongLinearizable(t *testing.T) {
 	h.MustAddVis(a.ID, r.ID)
 	h.MustAddVis(b.ID, r.ID)
 	res2 := CheckStrongLinearizable(h, counterSpec{}, CheckOptions{})
-	if res2.OK || !res2.Complete {
+	if res2.Verdict != VerdictInvalid {
 		t.Fatal("read⇒1 seeing two incs must not be strongly linearizable")
 	}
 	// RA-linearizability is weaker only through the sub-sequence relaxation
 	// for queries; here the read sees both updates so it must fail too.
 	res3 := CheckRA(h, counterSpec{}, DefaultCheckOptions())
-	if res3.OK {
+	if res3.Verdict != VerdictInvalid {
 		t.Fatal("read⇒1 seeing two incs must not be RA-linearizable either")
 	}
 }
@@ -265,5 +259,32 @@ func TestStrategyString(t *testing.T) {
 	}
 	if Strategy(9).String() == "" {
 		t.Fatal("unknown strategy must still render")
+	}
+}
+
+func TestParseGuidance(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Guidance
+		ok   bool
+	}{
+		{"", GuidanceRankOrder, true},
+		{"rank-order", GuidanceRankOrder, true},
+		{"guided", GuidanceGuided, true},
+		{"auto", GuidanceRankOrder, false},
+		{"rank", GuidanceRankOrder, false},
+		{"Guided", GuidanceRankOrder, false},
+	} {
+		got, err := ParseGuidance(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseGuidance(%q) = %v, %v; want %v (ok=%v)", tc.in, got, err, tc.want, tc.ok)
+		}
+		if tc.ok && tc.in != "" && got.String() != tc.in {
+			t.Errorf("ParseGuidance(%q).String() = %q, want the input back", tc.in, got.String())
+		}
+	}
+	var zero CheckOptions
+	if zero.Guidance != GuidanceRankOrder {
+		t.Fatalf("the zero CheckOptions must select rank order, got %v", zero.Guidance)
 	}
 }

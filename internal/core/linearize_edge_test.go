@@ -22,7 +22,7 @@ func TestLinearExtensionsEmptyHistory(t *testing.T) {
 		t.Fatalf("expected one empty sequence, got %v", seqs)
 	}
 	res := CheckRA(h, counterSpec{}, CheckOptions{Exhaustive: true})
-	if !res.OK || !res.Complete || len(res.Linearization) != 0 {
+	if res.Verdict != VerdictValid || len(res.Linearization) != 0 {
 		t.Fatalf("empty history must be RA-linearizable with the empty witness: %+v", res)
 	}
 }
@@ -40,7 +40,7 @@ func TestLinearExtensionsSingleLabel(t *testing.T) {
 		t.Fatalf("singleton history has exactly one extension: produced=%d truncated=%v", produced, truncated)
 	}
 	res := CheckRA(h, counterSpec{}, CheckOptions{Exhaustive: true})
-	if !res.OK || !res.Complete {
+	if res.Verdict != VerdictValid {
 		t.Fatalf("single inc must be RA-linearizable: %+v", res)
 	}
 }
@@ -79,11 +79,11 @@ func TestCyclicVisibilityRejected(t *testing.T) {
 		t.Fatalf("a cyclic relation has no linear extensions: produced=%d truncated=%v", produced, truncated)
 	}
 	res := CheckRA(h, counterSpec{}, DefaultCheckOptions())
-	if res.OK || !res.Complete || res.LastErr == nil {
+	if res.Verdict != VerdictInvalid || res.LastErr == nil || res.Linearization != nil || res.Incomplete != nil {
 		t.Fatalf("cyclic history must be rejected definitively: %+v", res)
 	}
 	strong := CheckStrongLinearizable(h, counterSpec{}, CheckOptions{Exhaustive: true})
-	if strong.OK || !strong.Complete || strong.LastErr == nil {
+	if strong.Verdict != VerdictInvalid || strong.LastErr == nil || strong.Linearization != nil || strong.Incomplete != nil {
 		t.Fatalf("cyclic history must fail the strong check definitively: %+v", strong)
 	}
 }
@@ -97,18 +97,15 @@ func TestMaxExtensionsTruncationIncomplete(t *testing.T) {
 		h.MustAdd(mkLabel(id, "bogus", KindUpdate))
 	}
 	res := CheckRA(h, counterSpec{}, CheckOptions{Exhaustive: true, MaxExtensions: 2, Engine: EngineLegacy})
-	if res.OK {
-		t.Fatalf("bogus updates must not linearize: %+v", res)
-	}
-	if res.Complete {
-		t.Fatal("a truncated search must report Complete == false")
+	if res.Verdict != VerdictUnknown || res.Incomplete.Reason != ReasonNodeBudget {
+		t.Fatalf("a truncated search must report an unknown node-budget verdict: %+v", res)
 	}
 	if res.Tried != 2 {
 		t.Fatalf("MaxExtensions=2 must try exactly 2 candidates, tried %d", res.Tried)
 	}
 	// Without the cap the same verdict becomes definitive.
 	full := CheckRA(h, counterSpec{}, CheckOptions{Exhaustive: true, Engine: EngineLegacy})
-	if full.OK || !full.Complete {
+	if full.Verdict != VerdictInvalid {
 		t.Fatalf("uncapped search must be complete: %+v", full)
 	}
 	produced, truncated := LinearExtensions(h, 4, func([]*Label) bool { return true })

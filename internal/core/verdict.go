@@ -5,13 +5,11 @@ import (
 	"fmt"
 )
 
-// Verdict is the three-valued outcome of an RA-linearizability check. The
-// boolean pair (OK, Complete) the checker grew up with conflates "searched
-// everything and found no witness" with "ran out of budget before deciding";
-// a checker running under deadlines and memory budgets must keep them apart,
-// because the second answer is not a refutation. The zero value is
-// VerdictUnknown, so a Result that never reached a decision reports honestly
-// by default.
+// Verdict is the three-valued outcome of an RA-linearizability check. It keeps
+// "searched everything and found no witness" apart from "ran out of budget
+// before deciding": a checker running under deadlines and memory budgets must
+// not report the second as a refutation. The zero value is VerdictUnknown, so
+// a Result that never reached a decision reports honestly by default.
 type Verdict int
 
 const (
@@ -105,19 +103,33 @@ func ContextIncomplete(ctx context.Context) *Incomplete {
 	return &Incomplete{Reason: ReasonCancelled, Detail: err.Error()}
 }
 
-// finalizeVerdict derives the three-valued verdict from the boolean outcome
-// fields and guarantees an Unknown result carries a populated Incomplete.
-// Every public checker entry point funnels its Result through here.
-func (r *Result) finalizeVerdict() {
+// ApplyOutcome folds a search engine's outcome into r: the engine statistics,
+// the last rejection, and the verdict — Valid with the engine's witness,
+// Invalid when the search space was exhausted, otherwise Unknown with the
+// engine's truncation reason (ReasonNodeBudget when it gave none). It is the
+// only place an EngineOutcome becomes a verdict; callers checking RA mode
+// wrap an Invalid verdict's LastErr in ErrNotRALinearizable themselves.
+func (r *Result) ApplyOutcome(out EngineOutcome) {
+	r.Tried += out.Leaves
+	r.Nodes = out.Nodes
+	r.Pruned = out.Pruned
+	r.MemoHits = out.MemoHits
+	r.Steals = out.Steals
+	r.Shards = out.Shards
+	r.Workers = out.Workers
+	r.PlanReused = out.PlanReused
+	r.MemDegraded = out.MemDegraded
+	if out.LastErr != nil {
+		r.LastErr = out.LastErr
+	}
 	switch {
-	case r.OK:
+	case out.OK:
 		r.Verdict = VerdictValid
-		r.Incomplete = nil
-	case r.Complete:
+		r.Linearization = out.Witness
+	case out.Complete:
 		r.Verdict = VerdictInvalid
-		r.Incomplete = nil
 	default:
-		r.Verdict = VerdictUnknown
+		r.Incomplete = out.Incomplete
 		if r.Incomplete == nil {
 			r.Incomplete = &Incomplete{Reason: ReasonNodeBudget, Detail: "exhaustive search truncated"}
 		}

@@ -147,7 +147,7 @@ func TestLWWSetRandomWorkloadRALinearizable(t *testing.T) {
 			}
 		}
 		res := core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			t.Fatalf("trial %d: random LWW-Element-Set history not RA-linearizable: %v\n%s",
 				trial, res.LastErr, sys.History())
 		}

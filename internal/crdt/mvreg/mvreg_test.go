@@ -182,7 +182,7 @@ func TestMVRegisterRandomWorkloadRALinearizable(t *testing.T) {
 			}
 		}
 		res := core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			t.Fatalf("trial %d: random MV-Register history not RA-linearizable: %v\n%s",
 				trial, res.LastErr, sys.History())
 		}

@@ -133,7 +133,7 @@ func TestORSetFig5StyleHistoryRALinearizable(t *testing.T) {
 		}
 	}
 	res := core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-	if !res.OK {
+	if res.Verdict != core.VerdictValid {
 		t.Fatalf("OR-Set history must be RA-linearizable after rewriting: %v", res.LastErr)
 	}
 	if res.Strategy == nil || *res.Strategy != core.StrategyExecutionOrder {
@@ -201,7 +201,7 @@ func TestORSetRandomWorkloadRALinearizable(t *testing.T) {
 			}
 		}
 		res := core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			t.Fatalf("trial %d: random OR-Set history not RA-linearizable: %v\n%s",
 				trial, res.LastErr, sys.History())
 		}

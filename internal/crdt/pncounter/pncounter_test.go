@@ -127,7 +127,7 @@ func TestPNCounterRandomWorkloadRALinearizable(t *testing.T) {
 			}
 		}
 		res := core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			t.Fatalf("trial %d: random PN-Counter history not RA-linearizable: %v\n%s",
 				trial, res.LastErr, sys.History())
 		}

@@ -88,11 +88,11 @@ func TestRGAConcurrentSiblingsOrderedByTimestamp(t *testing.T) {
 	res := core.CheckRA(sys.History(), d.Spec, core.CheckOptions{
 		Strategies: []core.Strategy{core.StrategyExecutionOrder},
 	})
-	if res.OK {
+	if res.Verdict != core.VerdictUnknown {
 		t.Fatal("execution-order linearization should not explain this history")
 	}
 	res = core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-	if !res.OK {
+	if res.Verdict != core.VerdictValid {
 		t.Fatalf("timestamp-order linearization must explain this history: %v", res.LastErr)
 	}
 	if res.Strategy == nil || *res.Strategy != core.StrategyTimestampOrder {
@@ -207,7 +207,7 @@ func TestRGARandomWorkloadRALinearizable(t *testing.T) {
 			}
 		}
 		res := core.CheckRA(sys.History(), d.Spec, d.CheckOptions())
-		if !res.OK {
+		if res.Verdict != core.VerdictValid {
 			t.Fatalf("trial %d: random RGA history not RA-linearizable: %v\n%s",
 				trial, res.LastErr, sys.History())
 		}

@@ -26,7 +26,7 @@ type Options struct {
 	// (EngineAuto keeps the registered default, the pruned engine).
 	Engine core.Engine
 	// Guidance selects the pruned engine's branch ordering for every check
-	// (GuidanceAuto keeps the deterministic rank order; GuidanceGuided opts
+	// (the zero value keeps the deterministic rank order; GuidanceGuided opts
 	// into heuristic ordering — same verdicts, different node counts). See
 	// core.Guidance.
 	Guidance core.Guidance
@@ -67,12 +67,13 @@ type Options struct {
 
 // Tune applies the engine selection, branch-ordering guidance and parallelism
 // of the Options to checker options. A pinned opts.Parallelism wins over
-// o.Parallelism; a pinned opts.Guidance wins over o.Guidance.
+// o.Parallelism; opts already asking for GuidanceGuided keeps it, otherwise
+// o.Guidance applies.
 func (o Options) Tune(opts core.CheckOptions) core.CheckOptions {
 	if o.Engine != core.EngineAuto {
 		opts.Engine = o.Engine
 	}
-	if opts.Guidance == core.GuidanceAuto {
+	if opts.Guidance != core.GuidanceGuided {
 		opts.Guidance = o.Guidance
 	}
 	if opts.Parallelism == 0 {

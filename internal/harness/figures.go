@@ -81,15 +81,16 @@ func Fig3(o Options) Experiment {
 	var out strings.Builder
 	out.WriteString("history (label  origin  sees):\n")
 	out.WriteString(h.String())
-	if res.OK {
+	valid := res.Verdict == core.VerdictValid
+	if valid {
 		fmt.Fprintf(&out, "RA-linearization (%s):\n  %s\n", res.Strategy, core.FormatLabels(res.Linearization))
 	}
 	return Experiment{
 		ID:       "fig-3",
 		Title:    "Figure 3: history of the RGA execution",
 		Claim:    "the execution's history is RA-linearizable w.r.t. Spec(RGA)",
-		Observed: fmt.Sprintf("RA-linearizable=%v (witness strategy %v)", res.OK, res.Strategy),
-		OK:       res.OK,
+		Observed: fmt.Sprintf("verdict %v (witness strategy %v)", res.Verdict, res.Strategy),
+		OK:       valid,
 		Output:   out.String(),
 	}
 }
@@ -139,14 +140,14 @@ func Fig5a(o Options) Experiment {
 	var out strings.Builder
 	out.WriteString("history (removes treated as plain Set updates):\n")
 	out.WriteString(naive.String())
-	fmt.Fprintf(&out, "strong linearizability: ok=%v (%s)\n", strong.OK, searchEffort(strong))
-	fmt.Fprintf(&out, "RA-linearizability w.r.t. Spec(Set): ok=%v complete=%v\n", ra.OK, ra.Complete)
-	ok := !strong.OK && strong.Complete && !ra.OK && ra.Complete
+	fmt.Fprintf(&out, "strong linearizability: %v (%s)\n", strong.Verdict, searchEffort(strong))
+	fmt.Fprintf(&out, "RA-linearizability w.r.t. Spec(Set): %v\n", ra.Verdict)
+	ok := strong.Verdict == core.VerdictInvalid && ra.Verdict == core.VerdictInvalid
 	return Experiment{
 		ID:       "fig-5a",
 		Title:    "Figure 5a: OR-Set execution vs the naive Set specification",
 		Claim:    "no linearization of the visibility relation explains the reads returning {a,b} against Spec(Set)",
-		Observed: fmt.Sprintf("strong linearizable=%v, RA-linearizable=%v (both complete searches)", strong.OK, ra.OK),
+		Observed: fmt.Sprintf("strong linearizability %v, RA-linearizability %v (both complete searches)", strong.Verdict, ra.Verdict),
 		OK:       ok,
 		Output:   out.String(),
 	}
@@ -164,15 +165,15 @@ func Fig5b(o Options) Experiment {
 	if res.Rewritten != nil {
 		out.WriteString(res.Rewritten.String())
 	}
-	if res.OK {
+	if res.Verdict == core.VerdictValid {
 		fmt.Fprintf(&out, "RA-linearization (%s):\n  %s\n", res.Strategy, core.FormatLabels(res.Linearization))
 	}
-	ok := res.OK && res.Strategy != nil && *res.Strategy == core.StrategyExecutionOrder
+	ok := res.Verdict == core.VerdictValid && res.Strategy != nil && *res.Strategy == core.StrategyExecutionOrder
 	return Experiment{
 		ID:       "fig-5b",
 		Title:    "Figure 5b: the same execution after the query-update rewriting",
 		Claim:    "the rewritten history is RA-linearizable w.r.t. Spec(OR-Set) in execution order",
-		Observed: fmt.Sprintf("RA-linearizable=%v via %v", res.OK, res.Strategy),
+		Observed: fmt.Sprintf("verdict %v via %v", res.Verdict, res.Strategy),
 		OK:       ok,
 		Output:   out.String(),
 	}
@@ -190,7 +191,7 @@ func Sec33(o Options) Experiment {
 	}
 	schedules := 0
 	violations := 0
-	nonLinearizable := 0
+	verdicts := map[core.Verdict]int{}
 	_, err := ExploreSchedules(d, program, 0, func(run Run) bool {
 		schedules++
 		x := run.Label(0, 2).Ret.([]string)
@@ -201,15 +202,13 @@ func Sec33(o Options) Experiment {
 			violations++
 		}
 		res := core.CheckRA(run.System.History(), d.Spec, o.Tune(d.CheckOptions()))
-		if !res.OK {
-			nonLinearizable++
-		}
+		verdicts[res.Verdict]++
 		return true
 	})
-	observed := fmt.Sprintf("%d schedules explored, %d post-condition violations, %d non-RA-linearizable histories",
-		schedules, violations, nonLinearizable)
+	observed := fmt.Sprintf("%d schedules explored, %d post-condition violations, %d invalid and %d unknown verdicts",
+		schedules, violations, verdicts[core.VerdictInvalid], verdicts[core.VerdictUnknown])
 	output := fmt.Sprintf("program: r1: add(a)·rem(a)·X=read   r2: add(a)·Y=read\npost-condition: a∈X ⇒ a∈Y\n%s", observed)
-	ok := err == nil && schedules > 0 && violations == 0 && nonLinearizable == 0
+	ok := err == nil && schedules > 0 && violations == 0 && verdicts[core.VerdictValid] == schedules
 	if err != nil {
 		output += "\nerror: " + err.Error()
 	}
@@ -244,17 +243,20 @@ func Fig8(o Options) Experiment {
 	to := core.CheckRA(h, d.Spec, o.Tune(core.CheckOptions{Strategies: []core.Strategy{core.StrategyTimestampOrder}}))
 	var out strings.Builder
 	fmt.Fprintf(&out, "read returned %s\n", core.FormatValue(read.Ret))
-	fmt.Fprintf(&out, "execution-order linearization accepted: %v\n", eo.OK)
-	fmt.Fprintf(&out, "timestamp-order linearization accepted: %v\n", to.OK)
-	if to.OK {
+	fmt.Fprintf(&out, "execution-order strategy alone: %v (%s)\n", eo.Verdict, eo.Incomplete)
+	fmt.Fprintf(&out, "timestamp-order strategy alone: %v\n", to.Verdict)
+	if to.Verdict == core.VerdictValid {
 		fmt.Fprintf(&out, "timestamp-order witness: %s\n", core.FormatLabels(to.Linearization))
 	}
-	ok := !eo.OK && to.OK && core.ValueEqual(read.Ret, []string{"b", "a"})
+	// The strategies-only execution-order check cannot refute, so its
+	// failure reads as Unknown with the no-search reason.
+	ok := eo.Verdict == core.VerdictUnknown && eo.Incomplete.Reason == core.ReasonNoSearch &&
+		to.Verdict == core.VerdictValid && core.ValueEqual(read.Ret, []string{"b", "a"})
 	return Experiment{
 		ID:       "fig-8",
 		Title:    "Figure 8: execution-order vs timestamp-order linearizations for RGA",
 		Claim:    "the execution-order linearization fails while the timestamp-order one is an RA-linearization",
-		Observed: fmt.Sprintf("execution-order ok=%v, timestamp-order ok=%v", eo.OK, to.OK),
+		Observed: fmt.Sprintf("execution-order %v, timestamp-order %v", eo.Verdict, to.Verdict),
 		OK:       ok,
 		Output:   out.String(),
 	}
@@ -304,15 +306,15 @@ func Fig9(o Options) Experiment {
 	var out strings.Builder
 	out.WriteString("composed history:\n")
 	out.WriteString(h.String())
-	fmt.Fprintf(&out, "composed history RA-linearizable: %v\n", res.OK)
+	fmt.Fprintf(&out, "composed history verdict: %v\n", res.Verdict)
 	fmt.Fprintf(&out, "per-object linearizations o1: c·d, o2: a·b combine: %v\n", combinedBad)
 	fmt.Fprintf(&out, "per-object linearizations o1: d·c, o2: a·b combine: %v\n", combinedGood)
-	ok := res.OK && !combinedBad && combinedGood && err == nil
+	ok := res.Verdict == core.VerdictValid && !combinedBad && combinedGood && err == nil
 	return Experiment{
 		ID:       "fig-9",
 		Title:    "Figure 9: composition of two OR-Sets (execution-order objects)",
 		Claim:    "the chosen per-object linearizations do not combine, yet the composition is RA-linearizable",
-		Observed: fmt.Sprintf("composition RA-linearizable=%v, bad combination=%v, good combination=%v", res.OK, combinedBad, combinedGood),
+		Observed: fmt.Sprintf("composition verdict %v, bad combination=%v, good combination=%v", res.Verdict, combinedBad, combinedGood),
 		OK:       ok,
 		Output:   out.String(),
 	}
@@ -354,14 +356,14 @@ func Fig10(o Options) Experiment {
 	var out strings.Builder
 	out.WriteString("history under ⊗ (independent timestamps):\n")
 	out.WriteString(unrHist.String())
-	fmt.Fprintf(&out, "RA-linearizable under ⊗:   %v (complete=%v)\n", unr.OK, unr.Complete)
-	fmt.Fprintf(&out, "RA-linearizable under ⊗ts: %v\n", shared.OK)
-	ok := !unr.OK && unr.Complete && shared.OK
+	fmt.Fprintf(&out, "verdict under ⊗:   %v\n", unr.Verdict)
+	fmt.Fprintf(&out, "verdict under ⊗ts: %v\n", shared.Verdict)
+	ok := unr.Verdict == core.VerdictInvalid && shared.Verdict == core.VerdictValid
 	return Experiment{
 		ID:       "fig-10",
 		Title:    "Figure 10: composition of two RGAs (timestamp-order objects)",
 		Claim:    "the history is not RA-linearizable under ⊗ but the shared-timestamp composition ⊗ts restores RA-linearizability",
-		Observed: fmt.Sprintf("⊗ RA-linearizable=%v, ⊗ts RA-linearizable=%v", unr.OK, shared.OK),
+		Observed: fmt.Sprintf("⊗ verdict %v, ⊗ts verdict %v", unr.Verdict, shared.Verdict),
 		OK:       ok,
 		Output:   out.String(),
 	}
@@ -447,16 +449,16 @@ func Fig14(o Options) Experiment {
 	fmt.Fprintf(&out, "final read: %s\n", core.FormatValue(read.Ret))
 	out.WriteString("history:\n")
 	out.WriteString(h.String())
-	fmt.Fprintf(&out, "RA-linearizable w.r.t. Spec(addAt1): %v (complete=%v)\n", r1.OK, r1.Complete)
-	fmt.Fprintf(&out, "RA-linearizable w.r.t. Spec(addAt2): %v (complete=%v)\n", r2.OK, r2.Complete)
-	fmt.Fprintf(&out, "RA-linearizable w.r.t. Spec(addAt3): %v\n", r3.OK)
+	fmt.Fprintf(&out, "verdict w.r.t. Spec(addAt1): %v\n", r1.Verdict)
+	fmt.Fprintf(&out, "verdict w.r.t. Spec(addAt2): %v\n", r2.Verdict)
+	fmt.Fprintf(&out, "verdict w.r.t. Spec(addAt3): %v\n", r3.Verdict)
 	ok := core.ValueEqual(read.Ret, []string{"d", "e", "c"}) &&
-		!r1.OK && r1.Complete && !r2.OK && r2.Complete && r3.OK
+		r1.Verdict == core.VerdictInvalid && r2.Verdict == core.VerdictInvalid && r3.Verdict == core.VerdictValid
 	return Experiment{
 		ID:       "fig-14",
 		Title:    "Figure 14: the addAt interface separates the index-based list specifications",
 		Claim:    "the read d·e·c is not explainable by Spec(addAt1)/Spec(addAt2) but is by Spec(addAt3)",
-		Observed: fmt.Sprintf("read=%s, addAt1 ok=%v, addAt2 ok=%v, addAt3 ok=%v", core.FormatValue(read.Ret), r1.OK, r2.OK, r3.OK),
+		Observed: fmt.Sprintf("read=%s, addAt1 %v, addAt2 %v, addAt3 %v", core.FormatValue(read.Ret), r1.Verdict, r2.Verdict, r3.Verdict),
 		OK:       ok,
 		Output:   out.String(),
 	}

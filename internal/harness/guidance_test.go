@@ -44,11 +44,11 @@ func TestGuidedMatchesRankOrderAllDescriptors(t *testing.T) {
 			guidedOpts := opts
 			guidedOpts.Guidance = core.GuidanceGuided
 			guided := core.CheckRAWith(h, d.Spec, guidedOpts, guidedSess)
-			if rank.OK != guided.OK || rank.Complete != guided.Complete || rank.Verdict != guided.Verdict {
-				t.Errorf("%s history %d: guided verdict diverged from rank order:\nrank:   OK=%v Complete=%v Verdict=%v\nguided: OK=%v Complete=%v Verdict=%v",
-					d.Name, k, rank.OK, rank.Complete, rank.Verdict, guided.OK, guided.Complete, guided.Verdict)
+			if rank.Verdict != guided.Verdict {
+				t.Errorf("%s history %d: guided verdict %v diverged from rank order %v",
+					d.Name, k, guided.Verdict, rank.Verdict)
 			}
-			if rank.Complete && !rank.OK && guided.Nodes > rank.Nodes {
+			if rank.Verdict == core.VerdictInvalid && guided.Nodes > rank.Nodes {
 				t.Errorf("%s history %d: guided refutation explored more nodes than rank order: %d > %d",
 					d.Name, k, guided.Nodes, rank.Nodes)
 			}

@@ -144,12 +144,7 @@ func monitorHistory(h *core.History, sp core.Spec, opts core.CheckOptions, o Opt
 // Trials run sequentially: the monitor models a store observed live, and the
 // session's certificate state is per-history anyway.
 func MonitorGenerated(name string, sp core.Spec, opts core.CheckOptions, gen HistoryGenerator, trials int, o Options) (HistoryCheck, error) {
-	out := HistoryCheck{
-		CRDT:            name,
-		ByStrategy:      map[string]int{},
-		UnknownByReason: map[string]int{},
-		BatchWorkers:    1,
-	}
+	out := newHistoryCheck(name, 1)
 	sess := search.NewSessionWithBudget(o.Budget)
 	for i := 0; i < trials; i++ {
 		h, seed, err := gen.Generate(i)
@@ -162,56 +157,13 @@ func MonitorGenerated(name string, sp core.Spec, opts core.CheckOptions, gen His
 			out.InternedStates = sess.InternedStates()
 			return out, err
 		}
-		res := rep.Final
-		out.Histories++
-		out.Operations += rep.Ops
+		tr := trialResult{seed: seed, ops: rep.Ops}
+		tr.record(&rep.Final)
+		out.add(i, &tr)
 		out.Prefixes += rep.Ops
 		out.Replayed += rep.Replayed
 		out.ExtendSearches += rep.Searched
 		out.Rebuilds += rep.Rebuilt
-		out.Tried += res.Tried
-		out.Nodes += res.Nodes
-		out.Pruned += res.Pruned
-		out.MemoHits += res.MemoHits
-		out.Steals += res.Steals
-		if res.Shards > out.Shards {
-			out.Shards = res.Shards
-		}
-		if res.PlanReused {
-			out.PlanReuses++
-		}
-		if res.RewriteCached {
-			out.RewriteHits++
-		}
-		if res.MemDegraded {
-			out.Degraded++
-		}
-		switch res.Verdict {
-		case core.VerdictValid:
-			out.Linearizable++
-			if res.Strategy != nil {
-				out.ByStrategy[res.Strategy.String()]++
-			} else {
-				out.ByStrategy["exhaustive"]++
-			}
-		case core.VerdictInvalid:
-			out.Invalid++
-			if out.FailureExample == "" {
-				out.FailureExample = fmt.Sprintf("seed %d: %v", seed, res.LastErr)
-			}
-		default:
-			out.Unknown++
-			reason := ""
-			detail := "truncated"
-			if res.Incomplete != nil {
-				reason = string(res.Incomplete.Reason)
-				detail = res.Incomplete.String()
-			}
-			out.UnknownByReason[reason]++
-			if out.UnknownExample == "" {
-				out.UnknownExample = fmt.Sprintf("trial %d (seed %d): %s", i, seed, detail)
-			}
-		}
 	}
 	out.InternedStates = sess.InternedStates()
 	return out, nil

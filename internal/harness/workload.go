@@ -141,15 +141,19 @@ type HistoryCheck struct {
 	ByStrategy map[string]int
 	// Tried is the total number of candidate sequences examined.
 	Tried int
-	// Nodes, Pruned, MemoHits and Steals aggregate the pruned engine's
-	// search statistics across all histories (zero under the legacy engine);
-	// Shards is the stripe count of its shared memo table (zero when
-	// memoization never ran).
-	Nodes    int
-	Pruned   int
+	// Nodes is the total number of prefix nodes the pruned engine explored
+	// across all histories (zero under the legacy engine).
+	Nodes int
+	// Pruned is the total number of subtrees the pruned engine cut off.
+	Pruned int
+	// MemoHits is the total number of subtrees skipped by memoization.
 	MemoHits int
-	Steals   int
-	Shards   int
+	// Steals is the total number of work-stealing donations run by another
+	// worker.
+	Steals int
+	// Shards is the widest stripe count of the pruned engine's shared memo
+	// table (zero when memoization never ran).
+	Shards int
 	// BatchWorkers is the number of goroutines the batch pool checked trials
 	// across.
 	BatchWorkers int
@@ -176,16 +180,19 @@ type HistoryCheck struct {
 	// FailureExample describes the first definitively non-linearizable
 	// history (by trial index), if any.
 	FailureExample string
-	// Prefixes, Replayed, ExtendSearches and Rebuilds are the incremental
-	// monitor's counters (MonitorGenerated): prefixes checked op-by-op,
-	// verdicts produced by replaying the previous witness as a certificate,
-	// extended fallback searches over the grown plan, and prefixes whose
-	// extension preconditions failed (checked by a plain warm pass). All zero
-	// for the batch entry points.
-	Prefixes       int
-	Replayed       int
+	// Prefixes is the number of prefixes the incremental monitor
+	// (MonitorGenerated) checked op-by-op. It and the three counters below
+	// are zero for the batch entry points.
+	Prefixes int
+	// Replayed counts the monitor verdicts produced by replaying the
+	// previous witness as a certificate.
+	Replayed int
+	// ExtendSearches counts the monitor's extended fallback searches over the
+	// grown plan.
 	ExtendSearches int
-	Rebuilds       int
+	// Rebuilds counts the prefixes whose extension preconditions failed, so
+	// the monitor checked them by a plain warm pass.
+	Rebuilds int
 }
 
 // OK reports whether every history was RA-linearizable. Unknown trials count
@@ -212,8 +219,10 @@ func (f GeneratorFunc) Generate(trial int) (*core.History, int64, error) { retur
 // RandomGenerator is the uniform random workload generator behind
 // CheckRandomHistories: trial i runs RunRandom with seed Cfg.Seed+i·7919.
 type RandomGenerator struct {
+	// Desc is the CRDT whose runtime executes the workloads.
 	Desc crdt.Descriptor
-	Cfg  WorkloadConfig
+	// Cfg is the workload configuration; trial i replaces its seed.
+	Cfg WorkloadConfig
 }
 
 // Generate runs one random workload.
@@ -376,30 +385,6 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 		sess = search.NewSessionWithBudget(o.Budget)
 	}
 
-	// trialResult keeps only the scalar fields the fold consumes: holding
-	// full core.Results would pin every generated history (Result.Rewritten)
-	// and witness until the batch finishes, where the sequential loop let
-	// each trial's history become garbage immediately.
-	type trialResult struct {
-		seed       int64
-		ops        int
-		err        error
-		verdict    core.Verdict
-		incReason  string
-		incDetail  string
-		degraded   bool
-		strategy   *core.Strategy
-		lastErr    error
-		tried      int
-		nodes      int
-		pruned     int
-		memoHits   int
-		steals     int
-		shards     int
-		innerPar   int
-		planReuse  bool
-		rewriteHit bool
-	}
 	results := make([]trialResult, trials)
 	// failed stops the dispatch of further trials once any trial errors, so
 	// a failing batch does not burn through its remaining histories first.
@@ -443,23 +428,7 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 		}
 		results[i].innerPar = trialOpts.Parallelism
 		res := core.CheckRAWith(h, sp, trialOpts, sess)
-		tr := &results[i]
-		tr.verdict = res.Verdict
-		if res.Incomplete != nil {
-			tr.incReason = string(res.Incomplete.Reason)
-			tr.incDetail = res.Incomplete.String()
-		}
-		tr.degraded = res.MemDegraded
-		tr.strategy = res.Strategy
-		tr.lastErr = res.LastErr
-		tr.tried = res.Tried
-		tr.nodes = res.Nodes
-		tr.pruned = res.Pruned
-		tr.memoHits = res.MemoHits
-		tr.steals = res.Steals
-		tr.shards = res.Shards
-		tr.planReuse = res.PlanReused
-		tr.rewriteHit = res.RewriteCached
+		results[i].record(&res)
 	}
 	dispatched := 0
 	if workers <= 1 {
@@ -505,61 +474,116 @@ func runBatch(name string, sp core.Spec, opts core.CheckOptions, trials int, gen
 		}
 	}
 
-	out := HistoryCheck{
-		CRDT:            name,
-		ByStrategy:      map[string]int{},
-		UnknownByReason: map[string]int{},
-		BatchWorkers:    workers,
-	}
+	out := newHistoryCheck(name, workers)
 	for i := range results {
 		tr := &results[i]
 		if tr.err != nil {
 			out.InternedStates = sess.InternedStates()
 			return out, tr.err
 		}
-		out.Histories++
-		out.Operations += tr.ops
-		out.Tried += tr.tried
-		out.Nodes += tr.nodes
-		out.Pruned += tr.pruned
-		out.MemoHits += tr.memoHits
-		out.Steals += tr.steals
-		if tr.shards > out.Shards {
-			out.Shards = tr.shards
-		}
-		if tr.innerPar > out.MaxInnerParallelism {
-			out.MaxInnerParallelism = tr.innerPar
-		}
-		if tr.planReuse {
-			out.PlanReuses++
-		}
-		if tr.rewriteHit {
-			out.RewriteHits++
-		}
-		if tr.degraded {
-			out.Degraded++
-		}
-		switch tr.verdict {
-		case core.VerdictValid:
-			out.Linearizable++
-			if tr.strategy != nil {
-				out.ByStrategy[tr.strategy.String()]++
-			} else {
-				out.ByStrategy["exhaustive"]++
-			}
-		case core.VerdictInvalid:
-			out.Invalid++
-			if out.FailureExample == "" {
-				out.FailureExample = fmt.Sprintf("seed %d: %v", tr.seed, tr.lastErr)
-			}
-		default:
-			out.Unknown++
-			out.UnknownByReason[tr.incReason]++
-			if out.UnknownExample == "" {
-				out.UnknownExample = fmt.Sprintf("trial %d (seed %d): %s", i, tr.seed, tr.incDetail)
-			}
-		}
+		out.add(i, tr)
 	}
 	out.InternedStates = sess.InternedStates()
 	return out, nil
+}
+
+// trialResult is one trial's outcome as the HistoryCheck fold consumes it. It
+// keeps only scalar fields: holding full core.Results would pin every
+// generated history (Result.Rewritten) and witness until the batch finishes,
+// where the sequential loop let each trial's history become garbage
+// immediately.
+type trialResult struct {
+	seed       int64
+	ops        int
+	err        error
+	verdict    core.Verdict
+	incReason  string
+	incDetail  string
+	degraded   bool
+	strategy   *core.Strategy
+	lastErr    error
+	tried      int
+	nodes      int
+	pruned     int
+	memoHits   int
+	steals     int
+	shards     int
+	innerPar   int
+	planReuse  bool
+	rewriteHit bool
+}
+
+// record copies the fields of a check's result that the fold consumes.
+func (tr *trialResult) record(res *core.Result) {
+	tr.verdict = res.Verdict
+	if res.Incomplete != nil {
+		tr.incReason = string(res.Incomplete.Reason)
+		tr.incDetail = res.Incomplete.String()
+	}
+	tr.degraded = res.MemDegraded
+	tr.strategy = res.Strategy
+	tr.lastErr = res.LastErr
+	tr.tried = res.Tried
+	tr.nodes = res.Nodes
+	tr.pruned = res.Pruned
+	tr.memoHits = res.MemoHits
+	tr.steals = res.Steals
+	tr.shards = res.Shards
+	tr.planReuse = res.PlanReused
+	tr.rewriteHit = res.RewriteCached
+}
+
+// newHistoryCheck returns the empty aggregate of a batch over workers
+// goroutines.
+func newHistoryCheck(name string, workers int) HistoryCheck {
+	return HistoryCheck{
+		CRDT:            name,
+		ByStrategy:      map[string]int{},
+		UnknownByReason: map[string]int{},
+		BatchWorkers:    workers,
+	}
+}
+
+// add folds trial i's outcome into the aggregate: the one place a trial's
+// verdict, strategy and engine statistics become HistoryCheck counts, for
+// the batch and the monitor alike.
+func (c *HistoryCheck) add(i int, tr *trialResult) {
+	c.Histories++
+	c.Operations += tr.ops
+	c.Tried += tr.tried
+	c.Nodes += tr.nodes
+	c.Pruned += tr.pruned
+	c.MemoHits += tr.memoHits
+	c.Steals += tr.steals
+	c.Shards = max(c.Shards, tr.shards)
+	c.MaxInnerParallelism = max(c.MaxInnerParallelism, tr.innerPar)
+	if tr.planReuse {
+		c.PlanReuses++
+	}
+	if tr.rewriteHit {
+		c.RewriteHits++
+	}
+	if tr.degraded {
+		c.Degraded++
+	}
+	switch tr.verdict {
+	case core.VerdictValid:
+		c.Linearizable++
+		if tr.strategy != nil {
+			c.ByStrategy[tr.strategy.String()]++
+		} else {
+			c.ByStrategy["exhaustive"]++
+		}
+	case core.VerdictInvalid:
+		c.Invalid++
+		if c.FailureExample == "" {
+			c.FailureExample = fmt.Sprintf("seed %d: %v", tr.seed, tr.lastErr)
+		}
+	default:
+		c.Unknown++
+		c.UnknownByReason[tr.incReason]++
+		if c.UnknownExample == "" {
+			c.UnknownExample = fmt.Sprintf("trial %d (seed %d): %s", i, tr.seed, tr.incDetail)
+		}
+	}
 }

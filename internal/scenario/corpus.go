@@ -363,8 +363,8 @@ func Harvest(sc Scenario, baseSeed int64, trials, keep int) ([]Entry, string, er
 			skippedLegacy++
 			continue
 		}
-		if leg.OK != res.OK {
-			return nil, "", fmt.Errorf("scenario %s seed %d: pruned verdict %v but legacy verdict %v", sc.Name, seed, res.OK, leg.OK)
+		if leg.Verdict != res.Verdict {
+			return nil, "", fmt.Errorf("scenario %s seed %d: pruned verdict %v but legacy verdict %v", sc.Name, seed, res.Verdict, leg.Verdict)
 		}
 		labels, vis, err := EncodeHistory(h)
 		if err != nil {
@@ -377,7 +377,7 @@ func Harvest(sc Scenario, baseSeed int64, trials, keep int) ([]Entry, string, er
 			Mode:           string(sc.Mode),
 			Spec:           plan.SpecName,
 			Seed:           seed,
-			RALinearizable: res.OK,
+			RALinearizable: res.Verdict == core.VerdictValid,
 			Nodes:          res.Nodes,
 			Labels:         labels,
 			Vis:            vis,

@@ -222,7 +222,7 @@ func observedRaces(h *core.History) int {
 }
 
 func (m *probeMetrics) add(res core.Result) {
-	if !res.OK {
+	if res.Verdict != core.VerdictValid {
 		m.refuted++
 	}
 	m.nodes += res.Nodes
@@ -423,8 +423,8 @@ func TestCorpusFileRoundTrip(t *testing.T) {
 		opts := plan.Options
 		opts.Parallelism = 1
 		res := core.CheckRA(h, plan.Spec, opts)
-		if res.OK != got.RALinearizable {
-			t.Errorf("replayed verdict %v, corpus recorded %v", res.OK, got.RALinearizable)
+		if (res.Verdict == core.VerdictValid) != got.RALinearizable {
+			t.Errorf("replayed verdict %v, corpus recorded %v", res.Verdict, got.RALinearizable)
 		}
 	}
 }

@@ -60,14 +60,14 @@ func compareEngines(t *testing.T, ctx string, h *core.History, spec core.Spec, r
 	prunedOpts.DebugMemo = true
 	legacy := core.CheckRA(h, spec, legacyOpts)
 	pruned := core.CheckRA(h, spec, prunedOpts)
-	if !legacy.Complete || !pruned.Complete {
-		t.Fatalf("%s: truncated search (legacy complete=%v, pruned complete=%v)", ctx, legacy.Complete, pruned.Complete)
+	if legacy.Verdict == core.VerdictUnknown || pruned.Verdict == core.VerdictUnknown {
+		t.Fatalf("%s: truncated search (legacy %v, pruned %v)", ctx, legacy.Verdict, pruned.Verdict)
 	}
-	if legacy.OK != pruned.OK {
+	if legacy.Verdict != pruned.Verdict {
 		t.Fatalf("%s: verdicts differ: legacy=%v pruned=%v\nhistory:\n%slegacy err: %v\npruned err: %v",
-			ctx, legacy.OK, pruned.OK, h, legacy.LastErr, pruned.LastErr)
+			ctx, legacy.Verdict, pruned.Verdict, h, legacy.LastErr, pruned.LastErr)
 	}
-	if pruned.OK {
+	if pruned.Verdict == core.VerdictValid {
 		if err := core.IsRALinearization(pruned.Rewritten, pruned.Linearization, spec); err != nil {
 			t.Fatalf("%s: pruned witness rejected by the legacy validator: %v", ctx, err)
 		}

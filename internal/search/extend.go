@@ -159,9 +159,7 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		return core.CheckRA(h, spec, opts)
 	}
 	if inc := core.ContextIncomplete(opts.Context); inc != nil {
-		res := core.Result{Incomplete: inc}
-		res.Finalize()
-		return res
+		return core.Result{Incomplete: inc}
 	}
 	// Without the exhaustive phase the certificate could prove Valid where a
 	// from-scratch check reports Unknown (no-search), breaking verdict parity
@@ -203,8 +201,7 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		Extended:      true,
 	}
 	if ext.valid && s.replayCertificate(ext, rh, spec) {
-		res.OK = true
-		res.Complete = true
+		res.Verdict = core.VerdictValid
 		res.WitnessReplayed = true
 		res.Tried = 1
 		wit := make([]*core.Label, rhN)
@@ -216,32 +213,27 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 		ext.states = append(ext.states[:0], ext.stateBuf...)
 		res.Linearization = wit
 		s.commitSnapshot(ext, h, rhN, newOps)
-		res.Finalize()
 		return res
 	}
 
 	// Certificate unavailable or refuted: full pruned search over the plan
 	// grown in place, seeded (when a witness exists) so the DFS tries the old
 	// witness order first and the PR 8 score table orders the rest.
+	var err error
 	if ext.plan == nil {
 		ext.plan = &prepared{}
-		if err := ext.plan.build(rh, false); err != nil {
-			res.LastErr = err
-			res.Complete = true
-			res.Finalize()
-			return res
-		}
+		err = ext.plan.build(rh, false)
 	} else if ext.planN < rhN {
-		if err := ext.plan.extend(rh, ext.planN, false); err != nil {
-			res.LastErr = err
-			res.Complete = true
-			res.Finalize()
-			return res
-		}
+		err = ext.plan.extend(rh, ext.planN, false)
+	}
+	if err != nil {
+		res.LastErr = err
+		res.Verdict = core.VerdictInvalid
+		return res
 	}
 	ext.planN = rhN
 
-	guided := core.ResolveGuidance(opts.Guidance) == core.GuidanceGuided || len(ext.witness) > 0
+	guided := opts.Guidance == core.GuidanceGuided || len(ext.witness) > 0
 	var guideTab *scoreTable
 	if guided {
 		guideTab = s.guideScores()
@@ -256,50 +248,27 @@ func (s *Session) Extend(h *core.History, spec core.Spec, newOps []*core.Label, 
 			ext.plan.seedWitness(ext.seedBuf)
 		}
 	}
-	out := runPrepared(s, intern, ext.plan, rh, spec, false, guided, guideTab, true, opts)
-	res.Tried += out.Leaves
-	res.Nodes = out.Nodes
-	res.Pruned = out.Pruned
-	res.MemoHits = out.MemoHits
-	res.Steals = out.Steals
-	res.Shards = out.Shards
-	res.Workers = out.Workers
-	res.PlanReused = out.PlanReused
-	res.MemDegraded = out.MemDegraded
-	if out.LastErr != nil {
-		res.LastErr = out.LastErr
-	}
-	switch {
-	case out.OK:
-		res.OK = true
-		res.Complete = true
-		res.Linearization = out.Witness
+	res.ApplyOutcome(runPrepared(s, intern, ext.plan, rh, spec, false, guided, guideTab, true, opts))
+	// Whatever the verdict, the snapshot advances: the plan and rewriting
+	// already cover the new operations.
+	s.commitSnapshot(ext, h, rhN, newOps)
+	ext.valid = res.Verdict == core.VerdictValid
+	switch res.Verdict {
+	case core.VerdictValid:
 		// Store the certificate in exact-size backing: the engine's witness is
 		// carved from a 512-label arena chunk, and a long-lived certificate
 		// must pin only itself.
-		ext.witness = append(make([]*core.Label, 0, len(out.Witness)), out.Witness...)
+		ext.witness = append(make([]*core.Label, 0, len(res.Linearization)), res.Linearization...)
 		ext.states = statesAfterUpdates(spec, ext.witness, ext.states[:0])
-		ext.valid = true
-		s.commitSnapshot(ext, h, rhN, newOps)
-	case out.Complete:
-		res.Complete = true
-		ext.valid = false
+	case core.VerdictInvalid:
 		ext.witness = nil
 		ext.states = nil
-		s.commitSnapshot(ext, h, rhN, newOps)
-	default:
-		res.Complete = false
-		res.Incomplete = out.Incomplete
-		// Truncated: no certificate, but keep the stale witness as a seed for
-		// the next attempt's branch order. The snapshot still advances — the
-		// plan and rewriting already cover the new operations.
-		ext.valid = false
-		s.commitSnapshot(ext, h, rhN, newOps)
+		if res.LastErr != nil {
+			res.LastErr = fmt.Errorf("%w: %v", core.ErrNotRALinearizable, res.LastErr)
+		}
 	}
-	if res.Complete && !res.OK && res.LastErr != nil {
-		res.LastErr = fmt.Errorf("%w: %v", core.ErrNotRALinearizable, res.LastErr)
-	}
-	res.Finalize()
+	// An Unknown verdict keeps no certificate, but the stale witness stays as
+	// a seed for the next attempt's branch order.
 	return res
 }
 

@@ -89,7 +89,7 @@ func Run(h *core.History, spec core.Spec, strong bool, opts core.CheckOptions) c
 	// once per check; the searcher adds the dynamic novelty bit per node. The
 	// score table is read through the pointer pinned for this check — eviction
 	// only runs while the session is idle.
-	guided := core.ResolveGuidance(opts.Guidance) == core.GuidanceGuided
+	guided := opts.Guidance == core.GuidanceGuided
 	var guideTab *scoreTable
 	if guided {
 		guideTab = sess.guideScores()

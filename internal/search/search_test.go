@@ -128,11 +128,8 @@ func TestPrunedBeatsLegacyFivefold(t *testing.T) {
 	h := concurrentIncsHistory(7, 99)
 	legacy := core.CheckRA(h, spec.Counter{}, core.CheckOptions{Exhaustive: true, Engine: core.EngineLegacy})
 	pruned := core.CheckRA(h, spec.Counter{}, core.CheckOptions{Exhaustive: true, Engine: core.EnginePruned})
-	if legacy.OK || pruned.OK {
-		t.Fatalf("history must be rejected by both engines: legacy=%v pruned=%v", legacy.OK, pruned.OK)
-	}
-	if !legacy.Complete || !pruned.Complete {
-		t.Fatalf("both searches must be complete: legacy=%v pruned=%v", legacy.Complete, pruned.Complete)
+	if legacy.Verdict != core.VerdictInvalid || pruned.Verdict != core.VerdictInvalid {
+		t.Fatalf("history must be refuted by both complete searches: legacy=%v pruned=%v", legacy.Verdict, pruned.Verdict)
 	}
 	if legacy.Tried < 5*pruned.Nodes {
 		t.Fatalf("pruned engine must do ≥5× fewer candidate checks: legacy tried %d, pruned explored %d nodes",
@@ -219,7 +216,7 @@ func TestStrongModeMatchesLegacy(t *testing.T) {
 	for name, h := range map[string]*core.History{"ok": ok, "bad": bad} {
 		legacy := core.CheckStrongLinearizable(h, spec.Counter{}, core.CheckOptions{Engine: core.EngineLegacy})
 		pruned := core.CheckStrongLinearizable(h, spec.Counter{}, core.CheckOptions{Engine: core.EnginePruned})
-		if legacy.OK != pruned.OK || legacy.Complete != pruned.Complete {
+		if legacy.Verdict != pruned.Verdict {
 			t.Fatalf("%s: strong verdicts differ: legacy=%+v pruned=%+v", name, legacy, pruned)
 		}
 	}

@@ -172,11 +172,11 @@ func TestSessionRewriteCache(t *testing.T) {
 	h := concurrentIncsHistory(5, 5)
 	opts := core.CheckOptions{Rewriting: cloneRewriting{tag: 1}, Exhaustive: true, Parallelism: 1}
 	first := core.CheckRAWith(h, spec.Counter{}, opts, sess)
-	if !first.OK || first.RewriteCached {
+	if first.Verdict != core.VerdictValid || first.RewriteCached {
 		t.Fatalf("first check must derive the rewriting itself: %+v", first)
 	}
 	second := core.CheckRAWith(h, spec.Counter{}, opts, sess)
-	if !second.OK || !second.RewriteCached {
+	if second.Verdict != core.VerdictValid || !second.RewriteCached {
 		t.Fatalf("second check of the same history must hit the rewrite cache: %+v", second)
 	}
 	if first.Rewritten != second.Rewritten {
@@ -203,7 +203,7 @@ func TestSessionRewriteCache(t *testing.T) {
 	fnOpts.Rewriting = fn
 	for i := 0; i < 2; i++ {
 		res := core.CheckRAWith(h, spec.Counter{}, fnOpts, sess)
-		if !res.OK || res.RewriteCached {
+		if res.Verdict != core.VerdictValid || res.RewriteCached {
 			t.Fatalf("func-typed rewriting must bypass the cache (run %d): %+v", i, res)
 		}
 	}
@@ -240,12 +240,12 @@ func TestSessionRewriteCacheTokenedClosure(t *testing.T) {
 	}
 	opts := core.CheckOptions{Rewriting: mk("γ"), Exhaustive: true, Parallelism: 1}
 	first := core.CheckRAWith(h, spec.Counter{}, opts, sess)
-	if !first.OK || first.RewriteCached {
+	if first.Verdict != core.VerdictValid || first.RewriteCached {
 		t.Fatalf("first tokened check must derive the rewriting: %+v", first)
 	}
 	opts.Rewriting = mk("γ")
 	second := core.CheckRAWith(h, spec.Counter{}, opts, sess)
-	if !second.OK || !second.RewriteCached {
+	if second.Verdict != core.VerdictValid || !second.RewriteCached {
 		t.Fatalf("equal-token closure must hit the rewrite cache: %+v", second)
 	}
 	if first.Rewritten != second.Rewritten {
@@ -342,7 +342,7 @@ func TestSessionThroughCheckRAWith(t *testing.T) {
 	opts := core.CheckOptions{Exhaustive: true, Engine: core.EnginePruned, Parallelism: 1}
 	plain := core.CheckRA(h, spec.Counter{}, opts)
 	with := core.CheckRAWith(h, spec.Counter{}, opts, sess)
-	if with.OK != plain.OK || with.Complete != plain.Complete || with.Nodes != plain.Nodes {
+	if with.Verdict != plain.Verdict || with.Nodes != plain.Nodes {
 		t.Fatalf("CheckRAWith %+v differs from CheckRA %+v", with, plain)
 	}
 	if sess.InternedStates() == 0 {

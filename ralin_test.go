@@ -18,7 +18,7 @@ func TestFacadeLookupAndCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := Check(d, sys.History())
-	if !res.OK {
+	if res.Verdict != VerdictValid {
 		t.Fatalf("counter history must be RA-linearizable: %v", res.LastErr)
 	}
 	if _, err := Lookup("Skiplist"); err == nil {
