@@ -351,37 +351,145 @@ var ErrNotRALinearizable = errors.New("history is not RA-linearizable")
 // IsRALinearization checks conditions (i)–(iii) of Definition 3.5 for the
 // sequence seq on the (already rewritten) history h with respect to spec.
 // It returns nil when seq is an RA-linearization of h.
+//
+// Conditions (ii) and (iii) walk one trie of update subsequences (see
+// justTrie): condition (ii) walks the whole update projection, and each query
+// walks its visible updates in seq order and then steps itself. Queries that
+// see the same updates therefore share every spec step, where replaying each
+// justification from Init would step each of them once per query.
 func IsRALinearization(h *History, seq []*Label, spec Spec) error {
 	// The definition applies to histories of queries and updates only.
-	for _, l := range h.Labels() {
+	for _, l := range h.seq {
 		if l.IsQueryUpdate() {
 			return fmt.Errorf("label %v is a query-update; apply a rewriting first", l)
 		}
 	}
 	// (i) seq is consistent with the visibility relation.
-	if err := h.ConsistentWithVis(seq); err != nil {
+	ranks, err := h.seqRanks(seq)
+	if err != nil {
 		return fmt.Errorf("condition (i): %w", err)
 	}
 	// (ii) the projection of seq to updates is admitted by the specification.
-	updates := filterLabels(seq, (*Label).IsUpdate)
-	if !Admits(spec, updates) {
-		i := FirstRejected(spec, updates)
-		return fmt.Errorf("condition (ii): update projection rejected by %s at %v",
-			spec.Name(), updates[i])
+	updates := make([]*Label, 0, len(seq))
+	updRanks := make([]int32, 0, len(seq))
+	for i, l := range seq {
+		if l.IsUpdate() {
+			updates = append(updates, l)
+			updRanks = append(updRanks, ranks[i])
+		}
+	}
+	t := newJustTrie(spec, len(updates))
+	node := 0
+	for k, u := range updates {
+		if node = t.child(node, k, u); t.rejected(node) {
+			return fmt.Errorf("condition (ii): update projection rejected by %s at %v",
+				spec.Name(), u)
+		}
 	}
 	// (iii) each query is justified by the visible updates in sequence order.
-	for _, q := range seq {
+	for i, q := range seq {
 		if !q.IsQuery() {
 			continue
 		}
-		visible := filterLabels(updates, func(u *Label) bool { return h.Vis(u.ID, q.ID) })
-		justification := append(append([]*Label(nil), visible...), q)
-		if !Admits(spec, justification) {
+		row := h.pred[ranks[i]]
+		node := 0
+		for k, u := range updates {
+			if row.test(int(updRanks[k])) {
+				if node = t.child(node, k, u); t.rejected(node) {
+					break
+				}
+			}
+		}
+		if !t.admits(node, q) {
+			var visible []*Label
+			for k, u := range updates {
+				if row.test(int(updRanks[k])) {
+					visible = append(visible, u)
+				}
+			}
 			return fmt.Errorf("condition (iii): query %v not justified by its visible updates %s",
 				q, FormatLabels(visible))
 		}
 	}
 	return nil
+}
+
+// justTrie is IsRALinearization's per-call trie of update subsequences. Node
+// 0 is {Init}; a child extends its parent's subsequence by one update, named
+// by its index in the update projection, and holds the deduplicated state set
+// the extended subsequence reaches — exactly what StatesAfter would return
+// for it. A child is stepped once, on first use, and every later walk through
+// it reuses the set: sound because Spec.Step never modifies its input state.
+// An empty set marks a rejected subsequence; its children are empty too and
+// are never stepped.
+type justTrie struct {
+	spec  Spec
+	nodes []justNode
+	// states is the arena the nodes' state sets are carved from; scratch
+	// receives the discarded successors of query steps.
+	states  []AbsState
+	scratch []AbsState
+}
+
+// justNode is one trie node: its state set, the update index it appended to
+// its parent, and its children as a sibling list (first child, next sibling;
+// -1 ends a list). Nodes rarely have more than a few children, so a linear
+// sibling scan beats a map.
+type justNode struct {
+	states      []AbsState
+	upd         int32
+	first, next int32
+}
+
+// newJustTrie returns a trie holding only the root {spec.Init()}, sized for
+// an update projection of n labels.
+func newJustTrie(spec Spec, n int) *justTrie {
+	t := &justTrie{
+		spec:   spec,
+		nodes:  make([]justNode, 1, n+1),
+		states: make([]AbsState, 1, n+1),
+	}
+	t.states[0] = spec.Init()
+	t.nodes[0] = justNode{states: t.states[:1:1], upd: -1, first: -1, next: -1}
+	return t
+}
+
+// child returns the node that extends node p by update k (label u), stepping
+// it on first use.
+func (t *justTrie) child(p, k int, u *Label) int {
+	for c := t.nodes[p].first; c >= 0; c = t.nodes[c].next {
+		if t.nodes[c].upd == int32(k) {
+			return int(c)
+		}
+	}
+	off := len(t.states)
+	for _, phi := range t.nodes[p].states {
+		t.states = StepInto(t.spec, t.states, phi, u)
+	}
+	t.states = append(t.states[:off], DedupStates(t.states[off:])...)
+	c := len(t.nodes)
+	t.nodes = append(t.nodes, justNode{
+		states: t.states[off:len(t.states):len(t.states)],
+		upd:    int32(k),
+		first:  -1,
+		next:   t.nodes[p].first,
+	})
+	t.nodes[p].first = int32(c)
+	return c
+}
+
+// rejected reports whether node n's subsequence is not admitted.
+func (t *justTrie) rejected(n int) bool { return len(t.nodes[n].states) == 0 }
+
+// admits reports whether query q is admitted in some state of node n.
+func (t *justTrie) admits(n int, q *Label) bool {
+	for _, phi := range t.nodes[n].states {
+		t.scratch = StepInto(t.spec, t.scratch[:0], phi, q)
+		if len(t.scratch) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // CheckRA checks whether the history h is RA-linearizable with respect to

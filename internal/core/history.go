@@ -742,14 +742,19 @@ func (h *History) HistoryTimestamp(l *Label) clock.Timestamp {
 	if !l.TS.IsBottom() {
 		return l.TS
 	}
-	// The predecessor mirror is transitively closed, so the maximum over one
-	// row sweep is the maximum over the whole past.
-	max := clock.Bottom
 	la, ok := h.byID[l.ID]
 	if !ok {
-		return max
+		return clock.Bottom
 	}
-	h.pred[la.rank].forEach(func(s int) {
+	return h.maxVisibleTS(int(la.rank))
+}
+
+// maxVisibleTS returns the maximal timestamp among the labels visible to the
+// label at rank r (⊥ if none). The predecessor mirror is transitively closed,
+// so the maximum over one row sweep is the maximum over the whole past.
+func (h *History) maxVisibleTS(r int) clock.Timestamp {
+	max := clock.Bottom
+	h.pred[r].forEach(func(s int) {
 		max = max.Max(h.seq[s].TS)
 	})
 	return max
@@ -760,32 +765,45 @@ func (h *History) HistoryTimestamp(l *Label) clock.Timestamp {
 // vis ∪ seq is acyclic, which for a total order seq means no label is
 // ordered before one of its visibility predecessors.
 func (h *History) ConsistentWithVis(seq []*Label) error {
+	_, err := h.seqRanks(seq)
+	return err
+}
+
+// seqRanks is ConsistentWithVis returning, on success, the rank of each
+// position of seq. Positions are indexed by rank, so the closure sweep reads
+// two slice slots per edge.
+func (h *History) seqRanks(seq []*Label) ([]int32, error) {
 	if len(seq) != h.Len() {
-		return fmt.Errorf("sequence has %d labels, history has %d", len(seq), h.Len())
+		return nil, fmt.Errorf("sequence has %d labels, history has %d", len(seq), h.Len())
 	}
-	pos := make(map[uint64]int, len(seq))
+	ranks := make([]int32, len(seq))
+	pos := make([]int, len(seq))
+	for r := range pos {
+		pos[r] = -1
+	}
 	for i, l := range seq {
-		if h.byID[l.ID].label == nil {
-			return fmt.Errorf("sequence label %v not in history", l)
+		la, ok := h.byID[l.ID]
+		if !ok {
+			return nil, fmt.Errorf("sequence label %v not in history", l)
 		}
-		if _, dup := pos[l.ID]; dup {
-			return fmt.Errorf("sequence repeats label %v", l)
+		if pos[la.rank] >= 0 {
+			return nil, fmt.Errorf("sequence repeats label %v", l)
 		}
-		pos[l.ID] = i
+		pos[la.rank] = i
+		ranks[i] = la.rank
 	}
 	for r, row := range h.reach {
-		from := h.seq[r]
 		var bad *Label
 		row.forEach(func(s int) {
-			if bad == nil && pos[from.ID] > pos[h.seq[s].ID] {
+			if bad == nil && pos[r] > pos[s] {
 				bad = h.seq[s]
 			}
 		})
 		if bad != nil {
-			return fmt.Errorf("sequence orders %v before %v against visibility", bad, from)
+			return nil, fmt.Errorf("sequence orders %v before %v against visibility", bad, h.seq[r])
 		}
 	}
-	return nil
+	return ranks, nil
 }
 
 // String renders the history: one line per label with its visibility

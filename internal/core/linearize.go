@@ -2,6 +2,8 @@ package core
 
 import (
 	"sort"
+
+	"ralin/internal/clock"
 )
 
 // ExecutionOrderLinearization returns the labels of h ordered by the order in
@@ -22,19 +24,34 @@ func ExecutionOrderLinearization(h *History) []*Label {
 // TimestampOrderLinearization returns the labels of h ordered primarily by
 // their history timestamp ts_h (own timestamp, or the maximal visible one for
 // operations that do not generate timestamps) and secondarily by generator
-// execution order (Section 4.2).
+// execution order (Section 4.2). Each label's ts_h is computed once, before
+// the sort, rather than twice per comparison: for a label without its own
+// timestamp it costs a predecessor-row sweep.
 func TimestampOrderLinearization(h *History) []*Label {
-	seq := h.Labels()
-	sort.SliceStable(seq, func(i, j int) bool {
-		ti, tj := h.HistoryTimestamp(seq[i]), h.HistoryTimestamp(seq[j])
-		if c := ti.Compare(tj); c != 0 {
+	type keyed struct {
+		l  *Label
+		ts clock.Timestamp
+	}
+	ks := make([]keyed, len(h.seq))
+	for r, l := range h.seq {
+		ks[r] = keyed{l, l.TS}
+		if l.TS.IsBottom() {
+			ks[r].ts = h.maxVisibleTS(r)
+		}
+	}
+	sort.SliceStable(ks, func(i, j int) bool {
+		if c := ks[i].ts.Compare(ks[j].ts); c != 0 {
 			return c < 0
 		}
-		if seq[i].GenSeq != seq[j].GenSeq {
-			return seq[i].GenSeq < seq[j].GenSeq
+		if ks[i].l.GenSeq != ks[j].l.GenSeq {
+			return ks[i].l.GenSeq < ks[j].l.GenSeq
 		}
-		return seq[i].ID < seq[j].ID
+		return ks[i].l.ID < ks[j].l.ID
 	})
+	seq := make([]*Label, len(ks))
+	for i, k := range ks {
+		seq[i] = k.l
+	}
 	return seq
 }
 
@@ -94,15 +111,4 @@ func LinearExtensions(h *History, limit int, fn func(seq []*Label) bool) (produc
 	}
 	rec()
 	return produced, truncated
-}
-
-// filterLabels returns the labels of seq satisfying keep, preserving order.
-func filterLabels(seq []*Label, keep func(*Label) bool) []*Label {
-	var out []*Label
-	for _, l := range seq {
-		if keep(l) {
-			out = append(out, l)
-		}
-	}
-	return out
 }

@@ -233,21 +233,3 @@ func dedupByKey(states []AbsState) ([]AbsState, bool) {
 	}
 	return out, true
 }
-
-// FirstRejected returns the index of the first label of seq that cannot be
-// applied (following any nondeterministic branch), or -1 if the whole
-// sequence is admitted. It is a diagnostic helper used in error messages.
-func FirstRejected(s Spec, seq []*Label) int {
-	states := []AbsState{s.Init()}
-	for i, l := range seq {
-		var next []AbsState
-		for _, phi := range states {
-			next = StepInto(s, next, phi, l)
-		}
-		states = DedupStates(next)
-		if len(states) == 0 {
-			return i
-		}
-	}
-	return -1
-}

@@ -216,6 +216,61 @@ func (s ORSetState) StateKey() (string, bool) {
 	return b.String(), true
 }
 
+// listsIDs reports whether ret holds exactly the pairs of s with element
+// elem, in strictly increasing identifier order — what ValueEqual(ret, want)
+// decides for the SortPairs-sorted, never-nil list want of those pairs,
+// without building it. A nil ret never matches.
+func (s ORSetState) listsIDs(elem string, ret []core.Pair) bool {
+	if ret == nil {
+		return false
+	}
+	for k, p := range ret {
+		if p.Elem != elem || (k > 0 && ret[k-1].ID >= p.ID) || !s[p] {
+			return false
+		}
+	}
+	n := 0
+	for p := range s {
+		if p.Elem == elem {
+			n++
+		}
+	}
+	return n == len(ret)
+}
+
+// listsElems reports whether ret holds exactly the distinct elements of s in
+// strictly increasing order — what ValueEqual(ret, s.Values()) decides,
+// without building the sorted slice. Every pair's element must be found in
+// ret (binary search) and every entry of ret must be hit by some pair. A nil
+// ret never matches: Values is never nil.
+func (s ORSetState) listsElems(ret []string) bool {
+	if ret == nil || len(ret) > len(s) {
+		return false
+	}
+	for k := 1; k < len(ret); k++ {
+		if ret[k-1] >= ret[k] {
+			return false
+		}
+	}
+	var buf [4]uint64
+	hit := buf[:]
+	if len(ret) > 64*len(buf) {
+		hit = make([]uint64, (len(ret)+63)/64)
+	}
+	n := 0
+	for p := range s {
+		k, found := slices.BinarySearch(ret, p.Elem)
+		if !found {
+			return false
+		}
+		if w, m := k/64, uint64(1)<<(k%64); hit[w]&m == 0 {
+			hit[w] |= m
+			n++
+		}
+	}
+	return n == len(ret)
+}
+
 // ORSet is Spec(OR-Set) of Example 3.4, the specification of the rewritten
 // OR-Set operations:
 //
@@ -281,23 +336,14 @@ func (ORSet) StepAppend(dst []core.AbsState, phi core.AbsState, l *core.Label) [
 		if !ok {
 			return dst
 		}
-		var want []core.Pair
-		for p := range s {
-			if p.Elem == elem {
-				want = append(want, p)
-			}
-		}
-		want = core.SortPairs(want)
-		if len(want) == 0 {
-			want = []core.Pair{}
-		}
-		if core.ValueEqual(l.Ret, want) {
+		ret, ok := l.Ret.([]core.Pair)
+		if ok && s.listsIDs(elem, ret) {
 			return append(dst, s)
 		}
 		return dst
 	case "read":
 		ret, ok := l.Ret.([]string)
-		if ok && core.ValueEqual(ret, s.Values()) {
+		if ok && s.listsElems(ret) {
 			return append(dst, s)
 		}
 		return dst

@@ -3,6 +3,7 @@ package spec
 import (
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"ralin/internal/core"
@@ -86,5 +87,111 @@ func TestSetReadAdmissionMatchesValueEqual(t *testing.T) {
 		if want := core.ValueEqual(ret, s.Values()); admitted != want {
 			t.Fatalf("read %#v at %v: admitted=%v, ValueEqual=%v", ret, s, admitted, want)
 		}
+	}
+}
+
+// randomORSetState draws pairs over a small element alphabet, so several
+// pairs usually share an element; every 50th state also holds a few hundred
+// distinct elements, past listsElems' stack bitmap.
+func randomORSetState(rng *rand.Rand, trial int) ORSetState {
+	s := ORSetState{}
+	for i, n := 0, rng.Intn(12); i < n; i++ {
+		s[core.Pair{Elem: setKeyAlphabet[rng.Intn(4)], ID: uint64(rng.Intn(20))}] = true
+	}
+	if trial%50 == 0 {
+		for i := 0; i < 300; i++ {
+			s[core.Pair{Elem: randomSetValue(rng) + strconv.Itoa(i), ID: uint64(i)}] = true
+		}
+	}
+	return s
+}
+
+// TestORSetQueryAdmissionMatchesValueEqual pins the read and readIds
+// admission checks of ORSet.StepAppend to their definitions — ValueEqual
+// against s.Values(), and against the SortPairs-sorted pairs of the element
+// (an empty, non-nil slice when there are none) — on matching, permuted,
+// duplicated, truncated, extended, wrong-element, empty and nil returns.
+func TestORSetQueryAdmissionMatchesValueEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	admitted := func(s ORSetState, l *core.Label) bool { return len(ORSet{}.StepAppend(nil, s, l)) == 1 }
+	for trial := 0; trial < 3000; trial++ {
+		s := randomORSetState(rng, trial)
+		vals := s.Values()
+		switch trial % 8 {
+		case 1:
+			rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+		case 2:
+			if len(vals) > 0 {
+				vals = append(vals, vals[len(vals)-1])
+			}
+		case 3:
+			if len(vals) > 0 {
+				vals = vals[:len(vals)-1]
+			}
+		case 4:
+			vals = append(vals, randomSetValue(rng))
+			slices.Sort(vals)
+		case 5:
+			if len(vals) > 0 {
+				vals[rng.Intn(len(vals))] = randomSetValue(rng)
+			}
+		case 6:
+			vals = []string{}
+		case 7:
+			vals = nil
+		}
+		read := &core.Label{ID: 1, Method: "read", Ret: vals, Kind: core.KindQuery}
+		if got, want := admitted(s, read), core.ValueEqual(vals, s.Values()); got != want {
+			t.Fatalf("read %#v at %v: admitted=%v, ValueEqual=%v", vals, s, got, want)
+		}
+
+		elem := setKeyAlphabet[rng.Intn(5)]
+		var want []core.Pair
+		for p := range s {
+			if p.Elem == elem {
+				want = append(want, p)
+			}
+		}
+		want = core.SortPairs(want)
+		if len(want) == 0 {
+			want = []core.Pair{}
+		}
+		ret := append([]core.Pair{}, want...)
+		switch trial % 8 {
+		case 1:
+			rng.Shuffle(len(ret), func(i, j int) { ret[i], ret[j] = ret[j], ret[i] })
+		case 2:
+			if len(ret) > 0 {
+				ret = append(ret, ret[0])
+				core.SortPairs(ret)
+			}
+		case 3:
+			if len(ret) > 0 {
+				ret = ret[1:]
+			}
+		case 4:
+			for p := range s {
+				if p.Elem != elem {
+					ret = core.SortPairs(append(ret, p))
+					break
+				}
+			}
+		case 5:
+			ret = core.SortPairs(append(ret, core.Pair{Elem: elem, ID: 999}))
+		case 6:
+			ret = []core.Pair{}
+		case 7:
+			ret = nil
+		}
+		readIds := &core.Label{ID: 2, Method: "readIds", Args: []core.Value{elem}, Ret: ret, Kind: core.KindQuery}
+		if got, want := admitted(s, readIds), core.ValueEqual(ret, want); got != want {
+			t.Fatalf("readIds(%q) %#v at %v: admitted=%v, ValueEqual=%v", elem, ret, s, got, want)
+		}
+	}
+	// A return of the wrong type is never admitted.
+	s := ORSetState{{Elem: "a", ID: 1}: true}
+	if admitted(s, &core.Label{Method: "read", Ret: []core.Pair{{Elem: "a", ID: 1}}}) ||
+		admitted(s, &core.Label{Method: "readIds", Args: []core.Value{"a"}, Ret: []string{"a"}}) {
+		t.Fatal("a return value of the wrong type was admitted")
 	}
 }
